@@ -195,8 +195,9 @@ int main() {
                            wall_s;
     server.stop();
     if (recovered_frames != n_frames) {
-      std::cerr << "recovery lost frames: " << recovered_frames << "/"
-                << n_frames << "\n";
+      std::cerr << "recovery lost " << n_frames - recovered_frames << " of "
+                << n_frames << " frames (" << recovered_frames
+                << " recovered)\n";
       return 1;
     }
   }

@@ -26,15 +26,14 @@
 // A fourth section measures the concurrent fold scheduler (DESIGN.md §9):
 // {1,2,4} models x {1,4} shards with all sessions' fold plans overlapped
 // on the shared pool, reporting per-model/aggregate grads/s and the fold
-// occupancy high-water mark, against the serialized-plan baseline
-// (RuntimeConfig::serialize_folds) at 4 models x 4 shards.
+// occupancy high-water mark.
 //
 // A fifth section sweeps the planner control plane (DESIGN.md §13):
-// 8 tenants on one host with aggregation_shards = 1, so every session's
-// fold runs inline on its planner thread — the planners are the bottleneck
-// by construction — across {1,2,4} planner threads, plus a pinned-batch vs
-// adaptive-drain-batching comparison at 2 planners (planner_* and
-// adaptive_batch_* metrics).
+// 8 tenants on one host with aggregation_shards = 1, so the fold pool has
+// no worker and every plan runs inline on a planner — the planners are
+// the bottleneck by construction — across {1,2,4} planner threads, plus a
+// pinned-batch vs adaptive-drain-batching comparison at 2 planners
+// (planner_* and adaptive_batch_* metrics).
 //
 // A sixth section measures the telemetry overhead (DESIGN.md §11): the
 // aggregation-bound scenario twice, tracing off and on, best of two runs
@@ -257,8 +256,6 @@ double run_sharded(std::size_t shards, std::size_t total_gradients) {
 /// session at K = 1 (fold + apply + publish per gradient, the
 /// aggregation-bound scenario above) — measures how the shared queue,
 /// aggregation thread and fold scheduler carry added tenants.
-/// `serialize_folds` selects the pre-scheduler baseline (each session's
-/// plan waited before the next is submitted).
 struct MultitenantResult {
   double aggregate = 0.0;       ///< grads/s across all models
   double per_model_mean = 0.0;  ///< mean per-model grads/s
@@ -269,7 +266,6 @@ struct MultitenantResult {
 };
 
 MultitenantResult run_multitenant(std::size_t n_models, std::size_t shards,
-                                  bool serialize_folds,
                                   std::size_t total_gradients) {
   fleet::core::ServerConfig config;
   config.aggregator.aggregation_k = 1;
@@ -277,7 +273,6 @@ MultitenantResult run_multitenant(std::size_t n_models, std::size_t shards,
   runtime.queue_capacity = 1024;
   runtime.queue_shards = n_models;
   runtime.aggregation_shards = shards;
-  runtime.serialize_folds = serialize_folds;
   runtime.max_drain_batch = 64;
   fleet::runtime::ConcurrentFleetServer host(runtime);
 
@@ -574,7 +569,7 @@ int main() {
   double tenant_at1 = 0.0;
   for (const std::size_t models : {1u, 2u, 4u}) {
     const auto result =
-        run_multitenant(models, /*shards=*/2, /*serialize_folds=*/false, total);
+        run_multitenant(models, /*shards=*/2, total);
     if (models == 1) tenant_at1 = result.aggregate;
     bench::row({"models x" + std::to_string(models),
                 bench::fmt(result.aggregate, 1) + " grads/s aggregate, " +
@@ -591,18 +586,13 @@ int main() {
   }
 
   // Concurrent fold scheduling sweep (DESIGN.md §9): tenants x shards with
-  // the shared scheduler overlapping sessions' folds, against the
-  // serialized-plan baseline (the pre-scheduler behavior) at the widest
-  // configuration. Occupancy > shards means cross-session overlap
-  // actually happened on this hardware.
+  // the shared scheduler overlapping sessions' folds. Occupancy > shards
+  // means cross-session overlap actually happened on this hardware.
   bench::header("Concurrent fold scheduling (K=1, " + std::to_string(total) +
                 " gradients/config, {1,2,4} models x {1,4} shards)");
-  double concurrent_4m4s = 0.0;
   for (const std::size_t models : {1u, 2u, 4u}) {
     for (const std::size_t shards : {1u, 4u}) {
-      const auto result =
-          run_multitenant(models, shards, /*serialize_folds=*/false, total);
-      if (models == 4 && shards == 4) concurrent_4m4s = result.aggregate;
+      const auto result = run_multitenant(models, shards, total);
       const std::string key = "concurrent_models_" + std::to_string(models) +
                               "_shards_" + std::to_string(shards);
       bench::row({"models x" + std::to_string(models) + " shards x" +
@@ -617,21 +607,12 @@ int main() {
       report.metric(key + "_fold_tasks", result.fold_tasks);
     }
   }
-  const auto serialized =
-      run_multitenant(4, /*shards=*/4, /*serialize_folds=*/true, total);
-  bench::row({"models x4 shards x4 serialized (baseline)",
-              bench::fmt(serialized.aggregate, 1) + " grads/s aggregate  (" +
-                  bench::fmt(concurrent_4m4s / serialized.aggregate, 2) +
-                  "x -> concurrent)"});
-  report.metric("serialized_models_4_shards_4_grads_per_s",
-                serialized.aggregate);
-  report.metric("concurrent_vs_serialized_4m4s",
-                concurrent_4m4s / serialized.aggregate);
 
   // Planner control-plane sweep (DESIGN.md §13): folds inline on the
-  // planners (shards = 1), 8 tenants, 4 producers — planner threads are
-  // the bottleneck, so added planners should carry added throughput on
-  // multi-core hosts (CI gates planner_scaling_2v1 >= 1.0 when hw >= 2).
+  // planners (shards = 1: the pool has no worker), 8 tenants, 4
+  // producers — planner threads are the bottleneck, so added planners
+  // should carry added throughput on multi-core hosts (CI gates
+  // planner_scaling_2v1 >= 1.0 when hw >= 2).
   bench::header("Planner scaling (K=1, 8 tenants, folds inline, " +
                 std::to_string(total) + " gradients/config)");
   double planner_at1 = 0.0;

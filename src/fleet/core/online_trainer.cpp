@@ -123,8 +123,9 @@ ControlledRunResult run_controlled(nn::TrainableModel& model,
     update.staleness = staleness;
     update.label_dist = label_dist;
     update.mini_batch = batch_size;
-    if (const auto submitted = aggregator.submit(update);
-        submitted.aggregate) {
+    const learning::SubmitResult submitted = aggregator.submit(update);
+    result.weights.push_back(submitted.weight);
+    if (submitted.aggregate) {
       model.apply_gradient(*submitted.aggregate, config.learning_rate);
       ++version;
       history.publish(version, model.parameters());
@@ -135,7 +136,6 @@ ControlledRunResult run_controlled(nn::TrainableModel& model,
   if (result.curve.empty() || result.curve.back().request != config.steps) {
     evaluate(config.steps);
   }
-  result.weights = aggregator.weight_log();
   result.final_accuracy = result.curve.back().accuracy;
   return result;
 }

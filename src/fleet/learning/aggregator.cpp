@@ -97,11 +97,6 @@ double AsyncAggregator::weight_for_unlocked(const WorkerUpdate& update) const {
 
 double AsyncAggregator::record_submit_unlocked(const WorkerUpdate& update) {
   const double weight = weight_for_unlocked(update);
-  if (weight_log_.size() < config_.weight_log_capacity) {
-    weight_log_.push_back(weight);
-  } else {
-    ++weights_dropped_;
-  }
   // Only non-straggler gradients (tau <= tau_thres, the s% the system
   // expects to arrive in time, §2.3) count toward LD_global, weighted by
   // the factor they were applied with. A straggler's data has not been

@@ -59,9 +59,11 @@ struct PlannedSubmit {
 /// threads query similarity concurrently (DESIGN.md §6). The *sequence* of
 /// model updates is still defined by submission order — the runtime keeps
 /// AdaSGD sequential by funneling all submits through a single aggregation
-/// thread. The reference accessors (weight_log(), staleness(),
-/// similarity()) hand out views of internal state and are for serial
-/// harnesses and post-run inspection only.
+/// thread. The reference accessors (staleness(), similarity()) hand out
+/// views of internal state and are for serial harnesses and post-run
+/// inspection only. The applied weights are not logged here: submit() and
+/// plan_submit() return each one, and callers that need the sequence
+/// (Fig 9b's CDF) collect it themselves.
 class AsyncAggregator {
  public:
   struct Config {
@@ -75,11 +77,6 @@ class AsyncAggregator {
     /// controlled experiments, e.g. "D1, thus tau_thres is 12" in §3.2 —
     /// with injected stragglers the online percentile would absorb them.
     double fixed_tau_thres = 0.0;
-    /// Cap on weight_log(): a long-lived server must not grow memory per
-    /// gradient forever. Far above any experiment harness's submission
-    /// count; once reached, weights stop being logged (dampening itself is
-    /// unaffected).
-    std::size_t weight_log_capacity = 1u << 20;
   };
 
   AsyncAggregator(std::size_t parameter_count, std::size_t n_classes,
@@ -96,8 +93,8 @@ class AsyncAggregator {
   SubmitResult submit(const WorkerUpdate& update);
 
   /// The bookkeeping half of submit(), with the numeric fold deferred:
-  /// computes and records the weight exactly as submit() would (weight
-  /// log, LD_global, staleness observation, round counter) and reports
+  /// computes the weight and does the bookkeeping exactly as submit()
+  /// would (LD_global, staleness observation, round counter), and reports
   /// whether this submission completes an aggregation round. The caller
   /// owns the deferred arithmetic: one fold_into() per planned submission
   /// and, where flush was reported, a flush_span() sweep — in plan order,
@@ -143,21 +140,6 @@ class AsyncAggregator {
     return pending_;
   }
 
-  /// Dampening weights applied so far (Fig 9b plots their CDF), capped at
-  /// Config::weight_log_capacity entries.
-  const std::vector<double>& weight_log() const { return weight_log_; }
-
-  /// Weights that were applied but NOT logged because weight_log() hit
-  /// Config::weight_log_capacity. Dampening itself is unaffected. Unlike
-  /// weight_log() — a reference accessor, post-run/quiescent only — this
-  /// counter is internally locked and safe to poll live: a running
-  /// deployment checks it to learn the Fig-9b trace went incomplete, and
-  /// reads the log itself only after quiescing.
-  std::size_t weights_dropped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return weights_dropped_;
-  }
-
   std::size_t parameter_count() const { return parameter_count_; }
 
   const StalenessTracker& staleness() const { return staleness_; }
@@ -176,8 +158,8 @@ class AsyncAggregator {
   double dampening_factor_unlocked(double staleness) const;
   double tau_thres_unlocked() const;
   std::optional<std::span<const float>> flush_unlocked();
-  /// Shared bookkeeping of submit()/plan_submit(): weight computation and
-  /// log, LD_global update, staleness observation. Returns the weight.
+  /// Shared bookkeeping of submit()/plan_submit(): weight computation,
+  /// LD_global update, staleness observation. Returns the weight.
   double record_submit_unlocked(const WorkerUpdate& update);
 
   mutable std::mutex mu_;
@@ -191,8 +173,6 @@ class AsyncAggregator {
   std::vector<float> accumulator_;
   std::vector<float> flushed_;
   std::size_t pending_ = 0;
-  std::vector<double> weight_log_;
-  std::size_t weights_dropped_ = 0;
 };
 
 }  // namespace fleet::learning

@@ -29,7 +29,7 @@ namespace fleet::runtime {
 
 struct AdaptiveBatchConfig {
   /// Master switch. When false the server drains with the pinned
-  /// `max_drain_batch` — the serialize_folds-style baseline mode.
+  /// `max_drain_batch`.
   bool enabled = false;
   std::size_t min_batch = 8;
   std::size_t max_batch = 512;

@@ -24,7 +24,6 @@ std::size_t validate_planner_count(std::size_t planners) {
 ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
     : trace_capacity_(runtime.trace_capacity),
       max_drain_batch_(runtime.max_drain_batch),
-      serialize_folds_(runtime.serialize_folds),
       planner_count_(validate_planner_count(runtime.planner_threads)),
       adaptive_(runtime.adaptive_batch),
       policy_(runtime.overload_policy),
@@ -72,8 +71,7 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
   // fold worker, co-placed per NUMA node, from sysfs discovery or the
   // explicit override. Computed only when pinning was requested — an
   // unpinned host never reads sysfs.
-  const std::size_t fold_workers =
-      runtime.aggregation_shards > 1 ? runtime.aggregation_shards - 1 : 0;
+  const std::size_t fold_workers = runtime.aggregation_shards - 1;
   PlacementPlan plan;
   plan.planner_cpus.assign(planner_count_, -1);
   plan.fold_worker_cpus.assign(fold_workers, -1);
@@ -91,11 +89,12 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
       plan = plan_placement(discover_topology(), planner_count_, fold_workers);
     }
   }
-  if (runtime.aggregation_shards > 1) {
-    sharded_ = std::make_unique<ShardedAggregator>(runtime.aggregation_shards,
-                                                   plan.fold_worker_cpus,
-                                                   telemetry_.get(), fault_);
-  }
+  // The one fold path (DESIGN.md §9): every session's plan runs on this
+  // pool. With one shard it spawns no thread and the waiting planner runs
+  // the plan inline.
+  sharded_ = std::make_unique<ShardedAggregator>(runtime.aggregation_shards,
+                                                 plan.fold_worker_cpus,
+                                                 telemetry_.get(), fault_);
   // One adaptive controller per planner. The starting limit is the pinned
   // max_drain_batch (clamped into the adaptive range); 0 (= "take
   // everything") starts at the adaptive ceiling.
@@ -126,7 +125,7 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
     for (std::size_t w = 0; w < fold_workers; ++w) {
       if (plan.fold_worker_cpus[w] >= 0) ++requested_pins;
     }
-    applied_pins += sharded_ != nullptr ? sharded_->pinned_workers() : 0;
+    applied_pins += sharded_->pinned_workers();
     const bool applied = requested_pins > 0 && applied_pins == requested_pins;
     pinning_applied_.store(applied, std::memory_order_release);
     if (!applied) {
@@ -165,7 +164,7 @@ core::ModelId ConcurrentFleetServer::register_model(
   // span partition here, for the host pool's shard count.
   registry_.add(std::make_shared<ModelSession>(
       id, model, std::move(profiler), config, trace_capacity_,
-      sharded_ != nullptr ? sharded_->shard_count() : 1, telemetry_.get()));
+      sharded_->shard_count(), telemetry_.get()));
   return id;
 }
 
@@ -350,7 +349,7 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
   // queue's group demux), so the slot pool needs no sharing or locking.
   std::deque<SessionSlot> slot_pool;
   AdaptiveBatcher& batcher = batchers_[planner];
-  // Telemetry scratch: per-slot fold-submit timestamps (sharded path).
+  // Telemetry scratch: per-slot fold-submit timestamps.
   // Sized lazily to the slot pool; lives outside the loop so a steady-state
   // batch allocates nothing.
   std::vector<std::uint64_t> fold_submit_ns;
@@ -470,89 +469,64 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
     // session's own admission order — what a solo server would see.
     // Retired ids miss the registry lookup and are dropped, counted, and
     // never folded (their drain accounting rides on `taken`).
-    if (sharded_ != nullptr) {
-      // Concurrent fold scheduling (DESIGN.md §9): plan every job
-      // centrally (staleness against its session's live clock, dampened
-      // weight, flush points, profiler feedback), then submit ALL
-      // sessions' plans to the shared fold scheduler at once — different
-      // sessions' spans execute concurrently, since their arenas are
-      // disjoint — and wait once for the whole batch. Plans' gradient
-      // spans point into `batch`, which stays alive until the next drain.
-      for (GradientJob& job : batch) {
-        SessionSlot* slot = slot_for(job.model_id);
-        if (slot == nullptr) {
-          retired_drops_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_ != nullptr) {
-            emit_instant(telemetry::TracePhase::kDrop, job.ticket,
-                         job.model_id);
-          }
-          continue;
+    // Concurrent fold scheduling (DESIGN.md §9): plan every job centrally
+    // (staleness against its session's live clock, dampened weight, flush
+    // points, profiler feedback), then submit ALL sessions' plans to the
+    // shared fold scheduler at once — different sessions' spans execute
+    // concurrently, since their arenas are disjoint — and wait once for
+    // the whole batch. Plans' gradient spans point into `batch`, which
+    // stays alive until the next drain.
+    for (GradientJob& job : batch) {
+      SessionSlot* slot = slot_for(job.model_id);
+      if (slot == nullptr) {
+        retired_drops_.fetch_add(1, std::memory_order_relaxed);
+        if (telemetry_ != nullptr) {
+          emit_instant(telemetry::TracePhase::kDrop, job.ticket, job.model_id);
         }
-        const std::size_t plan_capacity = slot->plan.capacity();
-        const bool folded = slot->session->plan_process(job, slot->plan);
-        if (slot->plan.capacity() != plan_capacity) {
-          fold_buffer_growths_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (telemetry_ != nullptr && folded) {
-          emit_instant(telemetry::TracePhase::kFold, job.ticket, job.model_id);
-        }
+        continue;
       }
-      if (telemetry_ != nullptr && fold_submit_ns.size() < slot_pool.size()) {
-        fold_submit_ns.resize(slot_pool.size());
+      const std::size_t plan_capacity = slot->plan.capacity();
+      bool folded = false;
+      try {
+        folded = slot->session->plan_process(job, slot->plan);
+      } catch (...) {
+        // Plan quarantine: a throwing bookkeeping step degrades its own
+        // session, never the planner thread or the other sessions.
+        fold_quarantines_.fetch_add(1, std::memory_order_relaxed);
+        if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(1);
+        slot->session->mark_degraded();
       }
-      for (std::size_t i = 0; i < used; ++i) {
-        SessionSlot& slot = slot_pool[i];
-        if (slot.plan.empty()) continue;
-        if (telemetry_ != nullptr) fold_submit_ns[i] = telemetry_->now_ns();
-        sharded_->submit(slot.session->fold_context(), slot.plan, slot.latch);
-        if (serialize_folds_) {
-          sharded_->wait(slot.latch);
-          note_session_fold(i);
-        }
+      if (slot->plan.capacity() != plan_capacity) {
+        fold_buffer_growths_.fetch_add(1, std::memory_order_relaxed);
       }
-      // One wait per batch; waiting in slot order is work-conserving (the
-      // waiter executes queued tasks — any session's, any planner's —
-      // while it waits).
-      for (std::size_t i = 0; i < used; ++i) {
-        sharded_->wait(slot_pool[i].latch);
-        if (!serialize_folds_) note_session_fold(i);
-        // Fold quarantine (DESIGN.md §14): a span task of this session's
-        // plan threw — the pool caught it and resolved the latch anyway,
-        // so only this session degrades (its arena may hold a partial
-        // fold); every other session's batch, and the host, are unharmed.
-        const std::size_t failures = slot_pool[i].latch.take_failures();
-        if (failures > 0) {
-          fold_quarantines_.fetch_add(failures, std::memory_order_relaxed);
-          if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(failures);
-          slot_pool[i].session->mark_degraded();
-        }
+      if (telemetry_ != nullptr && folded) {
+        emit_instant(telemetry::TracePhase::kFold, job.ticket, job.model_id);
       }
-    } else {
-      for (GradientJob& job : batch) {
-        SessionSlot* slot = slot_for(job.model_id);
-        if (slot == nullptr) {
-          retired_drops_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_ != nullptr) {
-            emit_instant(telemetry::TracePhase::kDrop, job.ticket,
-                         job.model_id);
-          }
-          continue;
-        }
-        const std::uint64_t ticket = job.ticket;
-        const core::ModelId model_id = job.model_id;
-        bool folded = false;
-        try {
-          folded = slot->session->process(std::move(job));
-        } catch (...) {
-          // Same quarantine contract as the sharded path: one throwing
-          // fold degrades its own session, never the planner thread.
-          fold_quarantines_.fetch_add(1, std::memory_order_relaxed);
-          if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(1);
-          slot->session->mark_degraded();
-        }
-        if (telemetry_ != nullptr && folded) {
-          emit_instant(telemetry::TracePhase::kFold, ticket, model_id);
-        }
+    }
+    if (telemetry_ != nullptr && fold_submit_ns.size() < slot_pool.size()) {
+      fold_submit_ns.resize(slot_pool.size());
+    }
+    for (std::size_t i = 0; i < used; ++i) {
+      SessionSlot& slot = slot_pool[i];
+      if (slot.plan.empty()) continue;
+      if (telemetry_ != nullptr) fold_submit_ns[i] = telemetry_->now_ns();
+      sharded_->submit(slot.session->fold_context(), slot.plan, slot.latch);
+    }
+    // One wait per batch; waiting in slot order is work-conserving (the
+    // waiter executes queued tasks — any session's, any planner's — while
+    // it waits).
+    for (std::size_t i = 0; i < used; ++i) {
+      sharded_->wait(slot_pool[i].latch);
+      note_session_fold(i);
+      // Fold quarantine (DESIGN.md §14): a span task of this session's
+      // plan threw — the pool caught it and resolved the latch anyway, so
+      // only this session degrades (its arena may hold a partial fold);
+      // every other session's batch, and the host, are unharmed.
+      const std::size_t failures = slot_pool[i].latch.take_failures();
+      if (failures > 0) {
+        fold_quarantines_.fetch_add(failures, std::memory_order_relaxed);
+        if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(failures);
+        slot_pool[i].session->mark_degraded();
       }
     }
     // One snapshot materialization per dirty session per drain batch,
@@ -666,11 +640,9 @@ RuntimeStats ConcurrentFleetServer::host_stats() const {
       snapshot.adaptive_narrowings += adaptive.narrowings;
     }
   }
-  if (sharded_ != nullptr) {
-    const auto pool = sharded_->pool_stats();
-    snapshot.fold_tasks_executed = pool.tasks_executed;
-    snapshot.fold_peak_pending = pool.peak_pending;
-  }
+  const auto pool = sharded_->pool_stats();
+  snapshot.fold_tasks_executed = pool.tasks_executed;
+  snapshot.fold_peak_pending = pool.peak_pending;
   if (const telemetry::Histogram* wait = queue_.wait_histogram()) {
     snapshot.queue_wait = wait->snapshot();
   }

@@ -43,7 +43,7 @@ struct RuntimeConfig {
   std::size_t planner_threads = 1;
   /// Pressure-adaptive drain batching (DESIGN.md §13). Disabled by
   /// default: planners then drain with the pinned `max_drain_batch`
-  /// schedule (the serialize_folds-style benchmarking baseline). When
+  /// schedule. When
   /// enabled, each planner owns an AdaptiveBatcher that widens/narrows
   /// its drain limit from counters it owns — windowed group-depth peaks
   /// and batch occupancy, never the §11 telemetry clocks.
@@ -66,10 +66,10 @@ struct RuntimeConfig {
   /// §6/§9): each session's parameter arena is split into this many
   /// contiguous spans and a drain batch's weighted folds fan out across
   /// the shared fold scheduler — different sessions' spans concurrently,
-  /// one latch per session. 1 keeps the fold inline on the aggregation
-  /// thread (the PR-2 sequential path). Any value yields a bitwise
-  /// identical model per session — weights are computed centrally and
-  /// every parameter index sees the same operation sequence.
+  /// one latch per session. 1 spawns no fold worker: the planner that
+  /// waits on a plan runs it inline. Any value yields a bitwise identical
+  /// model per session — weights are computed centrally and every
+  /// parameter index sees the same operation sequence.
   std::size_t aggregation_shards = 1;
   /// Best-effort pin the control plane — planner threads AND fold
   /// workers — per the NUMA placement plan (topology.hpp: sysfs
@@ -80,11 +80,6 @@ struct RuntimeConfig {
   /// pin logs one warning and bumps the "server.pinning_fallback"
   /// telemetry counter. No effect on results, only on locality.
   bool pin_fold_workers = false;
-  /// Debug/baseline knob: wait for each session's fold to finish before
-  /// submitting the next session's plan — the pre-scheduler serialized
-  /// behavior. Results are bitwise identical either way (sessions are
-  /// disjoint); the bench uses this as the comparison baseline.
-  bool serialize_folds = false;
   /// Cap on how many jobs one queue drain hands a planner (0 = take
   /// everything). Batches are exact admission-order prefixes
   /// (ticket-ordered) per planner group, so batching changes snapshot-
@@ -376,7 +371,7 @@ class ConcurrentFleetServer {
   /// (RuntimeStats::fold_buffer_growths counts the warm-up growths).
   struct SessionSlot {
     std::shared_ptr<ModelSession> session;
-    std::vector<FoldOp> plan;  // sharded path only
+    std::vector<FoldOp> plan;
     FoldLatch latch;           // armed per batch by the fold scheduler
   };
 
@@ -388,7 +383,6 @@ class ConcurrentFleetServer {
 
   std::size_t trace_capacity_;
   std::size_t max_drain_batch_;
-  bool serialize_folds_;
   /// Validated planner count (>= 1); also the queue's group count.
   std::size_t planner_count_;
   /// Adaptive drain-batching knobs (enabled flag consulted per drain).
@@ -421,7 +415,7 @@ class ConcurrentFleetServer {
   telemetry::Counter* shed_ctr_ = nullptr;         ///< "queue.shed"
   telemetry::Counter* quarantine_ctr_ = nullptr;   ///< "server.fold_quarantines"
   GradientQueue queue_;
-  /// Present when aggregation_shards > 1; the shared fold scheduler — all
+  /// The shared fold scheduler, `aggregation_shards` lanes wide — all
   /// sessions' plans of a drain batch run on it concurrently, across
   /// planners too (submit/wait are multi-coordinator safe).
   std::unique_ptr<ShardedAggregator> sharded_;

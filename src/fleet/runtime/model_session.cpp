@@ -133,95 +133,31 @@ const char* ModelSession::validate(const GradientJob& job) const {
   return nullptr;
 }
 
-std::optional<ModelSession::Admitted> ModelSession::screen(
-    const GradientJob& job) {
-  Admitted admitted;
-  admitted.now = version_.load(std::memory_order_relaxed);
-  if (job.task_version > admitted.now) {
+bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
+  const std::size_t now = version_.load(std::memory_order_relaxed);
+  if (job.task_version > now) {
     // A job can only legitimately carry a version it observed from
     // current(), so a future version is a producer bug; drop it rather
-    // than poisoning the logical clock.
+    // than poisoning the logical clock. Dropped jobs never enter the plan.
     std::lock_guard<std::mutex> lock(trace_mu_);
     ++invalid_jobs_;
-    return std::nullopt;
+    return false;
   }
   // tau_i = t - t_i against this session's clock at *processing* time
   // (Eq. 3) — the shared queue delays the gradient, and the staleness
   // reflects that delay exactly, same as the serial server's logical
-  // clock. On the sharded path "processing" is planning: the clock
-  // advances as flush points are planned, so later jobs in the same batch
-  // observe every update earlier ones produced — exactly the sequential
-  // schedule. Other sessions' jobs never touch this clock, which is why a
-  // hosted session's staleness matches its solo-server run.
-  admitted.staleness = static_cast<double>(admitted.now - job.task_version);
-  return admitted;
-}
-
-namespace {
-learning::WorkerUpdate update_from(const GradientJob& job, double staleness) {
+  // clock. "Processing" is planning: the clock advances as flush points
+  // are planned, so later jobs in the same batch observe every update
+  // earlier ones produced — exactly the sequential schedule. Other
+  // sessions' jobs never touch this clock, which is why a hosted
+  // session's staleness matches its solo-server run.
+  const double staleness = static_cast<double>(now - job.task_version);
   learning::WorkerUpdate update;
   update.gradient = std::span<const float>(job.gradient);
   update.staleness = staleness;
   update.label_dist = job.label_dist;
   update.mini_batch = job.mini_batch;
-  return update;
-}
-}  // namespace
-
-void ModelSession::record_processed(const GradientJob& job, double staleness,
-                                    double weight, bool updated) {
-  if (job.feedback.has_value()) {
-    std::lock_guard<std::mutex> lock(profiler_mu_);
-    profiler_->observe(*job.feedback);
-  }
-  // Registry mirrors are lock-free striped cells — record them outside
-  // trace_mu_ so the exporter-facing path adds nothing to the lock hold.
-  if (staleness_metric_ != nullptr) {
-    staleness_metric_->record(staleness);
-    weight_metric_->record(weight);
-  }
-  // One consistent cut: counters, histograms and traces move together
-  // under trace_mu_, so stats() can never observe a counter ahead of its
-  // histogram or trace.
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  ++processed_;
-  if (updated) ++model_updates_;
-  staleness_hist_.record(staleness);
-  weight_hist_.record(weight);
-  if (staleness_trace_.size() < trace_capacity_) {
-    staleness_trace_.push_back(staleness);
-    weight_trace_.push_back(weight);
-  } else {
-    // Counters and histograms stay exact past the cap.
-    traces_truncated_ = true;
-  }
-}
-
-bool ModelSession::process(GradientJob&& job) {
-  const auto admitted = screen(job);
-  if (!admitted) return false;
-  const learning::SubmitResult result =
-      aggregator_.submit(update_from(job, admitted->staleness));
-
-  bool updated = false;
-  if (result.aggregate) {
-    model_.apply_gradient(*result.aggregate, config_.learning_rate);
-    // The logical clock advances immediately (staleness must see every
-    // update), but snapshot materialization is batched: the host publishes
-    // once per drain batch via publish_if_dirty(), since versions consumed
-    // mid-batch were never observable to request threads anyway.
-    version_.store(admitted->now + 1, std::memory_order_release);
-    updated = true;
-  }
-  record_processed(job, admitted->staleness, result.weight, updated);
-  return true;
-}
-
-bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
-  const auto admitted = screen(job);
-  if (!admitted) return false;  // dropped jobs never enter the plan
-  const learning::PlannedSubmit planned =
-      aggregator_.plan_submit(update_from(job, admitted->staleness));
+  const learning::PlannedSubmit planned = aggregator_.plan_submit(update);
 
   FoldOp fold;
   fold.kind = FoldOp::Kind::kFold;
@@ -229,7 +165,6 @@ bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
   fold.weight = planned.weight;
   plan.push_back(fold);
 
-  bool updated = false;
   if (planned.flush) {
     FoldOp apply;
     apply.kind = FoldOp::Kind::kFlushApply;
@@ -238,11 +173,36 @@ bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
     // The logical clock advances at the planned flush, before the shards
     // run the arithmetic — legal because the version only becomes
     // observable-with-parameters at publication, which waits for the
-    // barrier, while staleness must see every planned update immediately.
-    version_.store(admitted->now + 1, std::memory_order_release);
-    updated = true;
+    // fold's latch, while staleness must see every planned update
+    // immediately.
+    version_.store(now + 1, std::memory_order_release);
   }
-  record_processed(job, admitted->staleness, planned.weight, updated);
+
+  if (job.feedback.has_value()) {
+    std::lock_guard<std::mutex> lock(profiler_mu_);
+    profiler_->observe(*job.feedback);
+  }
+  // Registry mirrors are lock-free striped cells — record them outside
+  // trace_mu_ so the exporter-facing path adds nothing to the lock hold.
+  if (staleness_metric_ != nullptr) {
+    staleness_metric_->record(staleness);
+    weight_metric_->record(planned.weight);
+  }
+  // One consistent cut: counters, histograms and traces move together
+  // under trace_mu_, so stats() can never observe a counter ahead of its
+  // histogram or trace.
+  std::lock_guard<std::mutex> lock(trace_mu_);
+  ++processed_;
+  if (planned.flush) ++model_updates_;
+  staleness_hist_.record(staleness);
+  weight_hist_.record(planned.weight);
+  if (staleness_trace_.size() < trace_capacity_) {
+    staleness_trace_.push_back(staleness);
+    weight_trace_.push_back(planned.weight);
+  } else {
+    // Counters and histograms stay exact past the cap.
+    traces_truncated_ = true;
+  }
   return true;
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "fleet/core/atomic_shared.hpp"
@@ -44,8 +43,8 @@ struct RuntimeStats {
   /// GradientQueue::max_depth_seen()).
   std::size_t queue_max_depth_seen = 0;
   std::vector<std::size_t> queue_shard_depths;
-  /// Host-wide fold-scheduler occupancy (zero when the host runs the
-  /// sequential shards=1 path; see ShardedAggregator::pool_stats()).
+  /// Host-wide fold-scheduler occupancy (see
+  /// ShardedAggregator::pool_stats()).
   std::size_t fold_tasks_executed = 0;
   std::size_t fold_peak_pending = 0;
   /// Host-wide count of aggregation-hot-path buffer growths (a demux slot
@@ -125,7 +124,7 @@ struct RuntimeStats {
 ///    validate(), stats(). Profiler and controller sit behind fine-grained
 ///    locks; the snapshot is one atomic record copy; similarity reads go
 ///    through the aggregator's internal lock.
-///  - Aggregation path (exactly one thread, the host's): process(),
+///  - Aggregation path (exactly one thread, the session's planner):
 ///    plan_process(), publish_if_dirty(), fold_context(). The host
 ///    guarantees a single caller, which is what preserves AdaSGD's
 ///    sequential update semantics per session.
@@ -139,12 +138,12 @@ class ModelSession {
  public:
   /// `fold_shards` is the host's fold-pool shard count: the session caches
   /// its arena's span partition once, here, instead of re-deriving it for
-  /// every drain batch (DESIGN.md §9). 1 (the sequential path) caches the
-  /// single full-arena span. `telemetry` (optional, caller-owned,
-  /// outliving the session) mirrors the session's staleness/weight
-  /// histograms into the host registry as "session.<id>.staleness" /
-  /// "session.<id>.weight" so the exporters see them; the RuntimeStats
-  /// histograms are maintained either way.
+  /// every drain batch (DESIGN.md §9). 1 caches the single full-arena
+  /// span. `telemetry` (optional, caller-owned, outliving the session)
+  /// mirrors the session's staleness/weight histograms into the host
+  /// registry as "session.<id>.staleness" / "session.<id>.weight" so the
+  /// exporters see them; the RuntimeStats histograms are maintained
+  /// either way.
   ModelSession(core::ModelId id, nn::TrainableModel& model,
                std::unique_ptr<profiler::Profiler> profiler,
                const core::ServerConfig& config, std::size_t trace_capacity,
@@ -211,18 +210,15 @@ class ModelSession {
 
   // --- aggregation-thread side (single caller: the host's loop) ---------
 
-  /// Sequential fold: screen, dampen, accumulate, maybe update the model
-  /// and advance the clock. Snapshot publication is deferred to
-  /// publish_if_dirty() so the host can batch it per drain. Returns false
-  /// when the job was dropped as invalid (so the host's per-gradient fold
-  /// trace events cover exactly the processed gradients).
-  bool process(GradientJob&& job);
-
-  /// Sharded-path counterpart of process(): the same central bookkeeping
-  /// (clock, staleness, weight, profiler feedback, stats) with the numeric
-  /// fold deferred into `plan` for the shared fold scheduler
-  /// (ShardedAggregator::submit) against fold_context(). Returns false
-  /// when the job was dropped as invalid (nothing entered the plan).
+  /// Process one job: screen out a future task version, then do the
+  /// order-sensitive bookkeeping (staleness against this session's clock,
+  /// dampened weight, K-boundary clock tick, profiler feedback, stats)
+  /// and append the numeric fold to `plan` for the shared fold scheduler
+  /// (ShardedAggregator::submit) against fold_context(). Snapshot
+  /// publication is deferred to publish_if_dirty() so the host can batch
+  /// it per drain. Returns false when the job was dropped as invalid
+  /// (nothing entered the plan), so the host's per-gradient fold trace
+  /// events cover exactly the processed gradients.
   bool plan_process(GradientJob& job, std::vector<FoldOp>& plan);
 
   /// The context the shared fold scheduler executes this session's plans
@@ -253,18 +249,6 @@ class ModelSession {
   nn::TrainableModel& model() { return model_; }
 
  private:
-  /// Shared head of process()/plan_process(): the future-version screen
-  /// and exact staleness against this session's clock at processing time.
-  /// nullopt means the job was dropped (and counted as invalid).
-  struct Admitted {
-    std::size_t now = 0;
-    double staleness = 0.0;
-  };
-  std::optional<Admitted> screen(const GradientJob& job);
-  /// Shared tail of process()/plan_process(): profiler feedback and the
-  /// per-job stats/trace bookkeeping.
-  void record_processed(const GradientJob& job, double staleness,
-                        double weight, bool updated);
   void publish_version(std::size_t version);
 
   const core::ModelId id_;

@@ -175,23 +175,21 @@ void ShardedAggregator::submit(const FoldContext& ctx,
     throw std::invalid_argument(
         "ShardedAggregator: fold context arena does not match its aggregator");
   }
-  if (!ctx.spans.empty()) {
-    // The spans must tile the arena exactly — a gap would silently skip
-    // parameters, an overlap double-fold them. The vector is tenant-count
-    // sized tiny, so the walk is free next to the fold itself.
-    std::size_t cursor = 0;
-    for (const FoldSpan& span : ctx.spans) {
-      if (span.begin != cursor || span.end <= span.begin) {
-        throw std::invalid_argument(
-            "ShardedAggregator: cached span partition does not tile the "
-            "arena");
-      }
-      cursor = span.end;
-    }
-    if (cursor != ctx.parameters.size()) {
+  // The spans must tile the arena exactly — a gap would silently skip
+  // parameters, an overlap double-fold them, and a context without spans
+  // would fold nothing. The vector is shard-count sized, so the walk is
+  // free next to the fold itself.
+  std::size_t cursor = 0;
+  for (const FoldSpan& span : ctx.spans) {
+    if (span.begin != cursor || span.end <= span.begin) {
       throw std::invalid_argument(
-          "ShardedAggregator: cached span partition does not cover the arena");
+          "ShardedAggregator: cached span partition does not tile the arena");
     }
+    cursor = span.end;
+  }
+  if (cursor != ctx.parameters.size()) {
+    throw std::invalid_argument(
+        "ShardedAggregator: cached span partition does not cover the arena");
   }
   if (!latch.done()) {
     throw std::invalid_argument(
@@ -199,21 +197,11 @@ void ShardedAggregator::submit(const FoldContext& ctx,
   }
   if (plan.empty()) return;
 
-  std::size_t armed = 0;
+  const std::size_t armed = ctx.spans.size();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!ctx.spans.empty()) {
-      for (std::size_t i = 0; i < ctx.spans.size(); ++i) {
-        tasks_.push_back(FoldTask{ctx, plan, ctx.spans[i], i, &latch});
-        ++armed;
-      }
-    } else {
-      for (std::size_t s = 0; s < shards_; ++s) {
-        const auto [begin, end] = span_of(ctx.parameters.size(), shards_, s);
-        if (begin >= end) continue;
-        tasks_.push_back(FoldTask{ctx, plan, FoldSpan{begin, end}, s, &latch});
-        ++armed;
-      }
+    for (std::size_t i = 0; i < armed; ++i) {
+      tasks_.push_back(FoldTask{ctx, plan, ctx.spans[i], i, &latch});
     }
     // Armed under mu_, before any lane can pop a task: a task finishing
     // can therefore never observe a latch it would drive below zero.

@@ -46,10 +46,9 @@ struct FoldSpan {
 /// aggregator (accumulator + flushed buffer) and its model's mutable
 /// parameter arena. On a multi-tenant host (DESIGN.md §7/§9) every
 /// registered model has its own context while the scheduler below is
-/// shared. `spans` optionally carries the arena's cached span partition
-/// (ModelSession computes it once per arena, DESIGN.md §9); when empty the
-/// scheduler derives the partition from (arena size, shard count) per
-/// submission — same slices either way.
+/// shared. `spans` is the arena's span partition, one fold task per span;
+/// it must tile the arena exactly (ModelSession caches partition() once
+/// per arena, DESIGN.md §9).
 struct FoldContext {
   learning::AsyncAggregator* aggregator = nullptr;
   std::span<float> parameters;
@@ -141,13 +140,14 @@ class ShardedAggregator {
   ShardedAggregator(const ShardedAggregator&) = delete;
   ShardedAggregator& operator=(const ShardedAggregator&) = delete;
 
-  /// Enqueue one plan: one task per (non-empty) span of `ctx`'s arena,
-  /// armed on `latch`. Returns immediately; the plan's gradients, the
-  /// context's aggregator/arena/spans and the latch must stay alive until
+  /// Enqueue one plan: one task per span of `ctx.spans`, armed on
+  /// `latch`. Returns immediately; the plan's gradients, the context's
+  /// aggregator/arena/spans and the latch must stay alive until
   /// wait(latch) returned. `latch` must be resolved (done()) on entry —
   /// one latch tracks one plan at a time. Throws std::invalid_argument
   /// when the context's arena size does not match its aggregator's
-  /// parameter count. An empty plan is a no-op (the latch stays done).
+  /// parameter count or its spans do not tile the arena. An empty plan is
+  /// a no-op (the latch stays done).
   void submit(const FoldContext& ctx, std::span<const FoldOp> plan,
               FoldLatch& latch);
 
@@ -171,8 +171,8 @@ class ShardedAggregator {
   std::size_t pinned_workers() const { return pinned_workers_; }
 
   /// The contiguous [begin, end) slice shard `s` owns of an arena with
-  /// `param_count` elements split `shards` ways — the partition submit()
-  /// uses (trailing spans may be empty when shards > param_count).
+  /// `param_count` elements split `shards` ways — the slices partition()
+  /// returns (trailing spans may be empty when shards > param_count).
   static std::pair<std::size_t, std::size_t> span_of(std::size_t param_count,
                                                      std::size_t shards,
                                                      std::size_t s);

@@ -211,14 +211,26 @@ TEST_F(ServerFixture, RefreshSnapshotServesExternallyLoadedParameters) {
 
 TEST_F(ServerFixture, ReceiptWeightMatchesAggregatorLog) {
   // handle_gradient computes the dampening weight exactly once, inside
-  // submit(); the receipt reports that same applied weight.
+  // submit(); the receipt reports that same applied weight. A twin
+  // aggregator fed the same updates is the reference.
+  learning::AsyncAggregator twin(model->parameter_count(), model->n_classes(),
+                                 server->aggregator().config());
   std::vector<float> gradient(model->parameter_count(), 0.01f);
+  const auto expect_twin_weight = [&](const GradientReceipt& receipt) {
+    learning::WorkerUpdate update;
+    update.gradient = gradient;
+    update.staleness = receipt.staleness;
+    update.label_dist = labels_01();
+    update.mini_batch = 10;
+    EXPECT_DOUBLE_EQ(receipt.weight, twin.submit(update).weight);
+  };
   for (int i = 0; i < 4; ++i) {
-    server->handle_gradient(server->version(), gradient, labels_01(), 10);
+    expect_twin_weight(
+        server->handle_gradient(server->version(), gradient, labels_01(), 10));
   }
   const auto receipt = server->handle_gradient(0, gradient, labels_01(), 10);
-  ASSERT_FALSE(server->aggregator().weight_log().empty());
-  EXPECT_DOUBLE_EQ(receipt.weight, server->aggregator().weight_log().back());
+  EXPECT_GT(receipt.staleness, 0.0);
+  expect_twin_weight(receipt);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -84,59 +85,64 @@ TEST(FaultSitesTest, QueueFullInjectionYieldsRetryableReceiptsThenRecovers) {
 }
 
 TEST(FaultSitesTest, FoldTaskQuarantineDegradesOnlyTheFailingSession) {
-  FaultInjector fault(5);
-  FaultPlan plan;
-  plan.site = FaultSite::kFoldTask;
-  plan.every = 1;
-  plan.max_fires = 1;  // exactly the first fold span task thrown
-  fault.arm(plan);
-  RuntimeConfig runtime;
-  runtime.aggregation_shards = 4;
-  runtime.start_paused = true;
-  runtime.fault_injector = &fault;
-  ConcurrentFleetServer host(runtime);
-  auto model_a = nn::zoo::mlp(8, 4, 3);
-  model_a->init(7);
-  auto model_b = nn::zoo::mlp(8, 4, 3);
-  model_b->init(19);
-  const core::ModelId id_a =
-      host.register_model(*model_a, pretrained_iprof(), server_config());
-  const core::ModelId id_b =
-      host.register_model(*model_b, pretrained_iprof(), server_config());
+  // Every shard count runs plans as pool tasks, so a single-lane host
+  // (the planner folds inline) quarantines exactly like a sharded one.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    FaultInjector fault(5);
+    FaultPlan plan;
+    plan.site = FaultSite::kFoldTask;
+    plan.every = 1;
+    plan.max_fires = 1;  // exactly the first fold span task thrown
+    fault.arm(plan);
+    RuntimeConfig runtime;
+    runtime.aggregation_shards = shards;
+    runtime.start_paused = true;
+    runtime.fault_injector = &fault;
+    ConcurrentFleetServer host(runtime);
+    auto model_a = nn::zoo::mlp(8, 4, 3);
+    model_a->init(7);
+    auto model_b = nn::zoo::mlp(8, 4, 3);
+    model_b->init(19);
+    const core::ModelId id_a =
+        host.register_model(*model_a, pretrained_iprof(), server_config());
+    const core::ModelId id_b =
+        host.register_model(*model_b, pretrained_iprof(), server_config());
 
-  // Stage A-only jobs first so the single budgeted fault can only land in
-  // A's fold plan, then resume and drain that batch.
-  for (std::size_t i = 0; i < 3; ++i) {
-    GradientJob job = varied_job(*model_a, id_a, i);
-    ASSERT_TRUE(host.try_submit(job).accepted);
+    // Stage A-only jobs first so the single budgeted fault can only land in
+    // A's fold plan, then resume and drain that batch.
+    for (std::size_t i = 0; i < 3; ++i) {
+      GradientJob job = varied_job(*model_a, id_a, i);
+      ASSERT_TRUE(host.try_submit(job).accepted);
+    }
+    host.resume();
+    host.drain();
+
+    // The host keeps serving after the quarantine: B trains cleanly, and A
+    // itself still accepts and folds further work (degraded, not dead).
+    for (std::size_t i = 0; i < 4; ++i) {
+      GradientJob job_b = varied_job(*model_b, id_b, i);
+      ASSERT_TRUE(host.try_submit(job_b).accepted);
+    }
+    GradientJob more_a = varied_job(*model_a, id_a, 9);
+    ASSERT_TRUE(host.try_submit(more_a).accepted);
+    host.drain();
+
+    EXPECT_EQ(fault.fires(FaultSite::kFoldTask), 1u);
+    const HealthSnapshot health = host.health();
+    EXPECT_EQ(health.fold_quarantines, 1u);
+    ASSERT_EQ(health.degraded_sessions.size(), 1u);
+    EXPECT_EQ(health.degraded_sessions[0], id_a);
+    EXPECT_TRUE(host.stats(id_a).degraded);
+    EXPECT_FALSE(host.stats(id_b).degraded);
+    EXPECT_EQ(host.stats(id_a).degraded_sessions, 1u);
+    EXPECT_EQ(host.stats(id_a).processed, 4u);
+    EXPECT_EQ(host.stats(id_b).processed, 4u);
+    host.stop();
+    // A's arena may hold a partial fold, but never a poisoned value.
+    expect_finite(*model_a);
+    expect_finite(*model_b);
   }
-  host.resume();
-  host.drain();
-
-  // The host keeps serving after the quarantine: B trains cleanly, and A
-  // itself still accepts and folds further work (degraded, not dead).
-  for (std::size_t i = 0; i < 4; ++i) {
-    GradientJob job_b = varied_job(*model_b, id_b, i);
-    ASSERT_TRUE(host.try_submit(job_b).accepted);
-  }
-  GradientJob more_a = varied_job(*model_a, id_a, 9);
-  ASSERT_TRUE(host.try_submit(more_a).accepted);
-  host.drain();
-
-  EXPECT_EQ(fault.fires(FaultSite::kFoldTask), 1u);
-  const HealthSnapshot health = host.health();
-  EXPECT_EQ(health.fold_quarantines, 1u);
-  ASSERT_EQ(health.degraded_sessions.size(), 1u);
-  EXPECT_EQ(health.degraded_sessions[0], id_a);
-  EXPECT_TRUE(host.stats(id_a).degraded);
-  EXPECT_FALSE(host.stats(id_b).degraded);
-  EXPECT_EQ(host.stats(id_a).degraded_sessions, 1u);
-  EXPECT_EQ(host.stats(id_a).processed, 4u);
-  EXPECT_EQ(host.stats(id_b).processed, 4u);
-  host.stop();
-  // A's arena may hold a partial fold, but never a poisoned value.
-  expect_finite(*model_a);
-  expect_finite(*model_b);
 }
 
 TEST(FaultSitesTest, PlannerStallDelaysButNeverDropsABatch) {

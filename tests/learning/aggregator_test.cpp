@@ -153,55 +153,17 @@ TEST(AggregatorTest, FlushEmitsPartialWindow) {
 }
 
 TEST(AggregatorTest, WeightsAreLogged) {
+  // Each submission reports the weight it applied; callers log it
+  // themselves (OnlineTrainer's Fig 9b trace).
   AsyncAggregator agg(2, 2, config_for(Scheme::kDynSgd));
-  agg.submit(make_update(2, 1.0f, 0.0));
-  agg.submit(make_update(2, 1.0f, 1.0));
-  ASSERT_EQ(agg.weight_log().size(), 2u);
-  EXPECT_DOUBLE_EQ(agg.weight_log()[0], 1.0);
-  EXPECT_DOUBLE_EQ(agg.weight_log()[1], 0.5);
-}
-
-TEST(AggregatorTest, WeightLogCapBoundarySurfacesDrops) {
-  // The capped log must not drop entries silently: exactly at the cap
-  // nothing is dropped, one past the cap the counter starts, and the
-  // logged prefix stays intact.
-  auto cfg = config_for(Scheme::kDynSgd);
-  cfg.weight_log_capacity = 3;
-  AsyncAggregator agg(2, 2, cfg);
-  for (int i = 0; i < 3; ++i) {
-    agg.submit(make_update(2, 1.0f, 0.0));
-  }
-  EXPECT_EQ(agg.weight_log().size(), 3u);  // exactly at the cap
-  EXPECT_EQ(agg.weights_dropped(), 0u);
-
-  agg.submit(make_update(2, 1.0f, 1.0));  // cap + 1
-  EXPECT_EQ(agg.weight_log().size(), 3u);
-  EXPECT_EQ(agg.weights_dropped(), 1u);
-  // The logged prefix is untouched; only the overflow went uncounted in
-  // the log (but not in the counter).
-  EXPECT_DOUBLE_EQ(agg.weight_log()[2], 1.0);
-
-  agg.submit(make_update(2, 1.0f, 1.0));
-  EXPECT_EQ(agg.weights_dropped(), 2u);
-}
-
-TEST(AggregatorTest, PlanSubmitDropsPastTheCapLikeSubmit) {
-  auto cfg = config_for(Scheme::kDynSgd);
-  cfg.weight_log_capacity = 2;
-  AsyncAggregator agg(2, 2, cfg);
-  agg.plan_submit(make_update(2, 1.0f, 0.0));
-  agg.plan_submit(make_update(2, 1.0f, 1.0));
-  EXPECT_EQ(agg.weight_log().size(), 2u);
-  EXPECT_EQ(agg.weights_dropped(), 0u);
-  agg.plan_submit(make_update(2, 1.0f, 2.0));
-  EXPECT_EQ(agg.weight_log().size(), 2u);
-  EXPECT_EQ(agg.weights_dropped(), 1u);
+  EXPECT_DOUBLE_EQ(agg.submit(make_update(2, 1.0f, 0.0)).weight, 1.0);
+  EXPECT_DOUBLE_EQ(agg.submit(make_update(2, 1.0f, 1.0)).weight, 0.5);
 }
 
 TEST(AggregatorTest, PlanSubmitMirrorsSubmitBookkeeping) {
   // plan_submit + fold_into + flush_span must be indistinguishable from
-  // submit(): same weights, same logs, same round boundaries, and a
-  // bitwise-identical aggregate.
+  // submit(): same weights, same round boundaries, and a bitwise-identical
+  // aggregate.
   auto cfg = config_for(Scheme::kAdaSgd, /*k=*/2);
   AsyncAggregator sequential(3, 2, cfg);
   AsyncAggregator planned(3, 2, cfg);
@@ -226,7 +188,6 @@ TEST(AggregatorTest, PlanSubmitMirrorsSubmitBookkeeping) {
       EXPECT_EQ((*result.aggregate)[2], hi[0]);
     }
   }
-  EXPECT_EQ(planned.weight_log(), sequential.weight_log());
   EXPECT_EQ(planned.pending(), sequential.pending());
 }
 

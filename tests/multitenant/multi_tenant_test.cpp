@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -349,45 +350,50 @@ TEST(MultiTenantTest, SteadyStateDrainsReuseHotPathBuffers) {
   // The demux slots and fold-plan buffers must stop allocating once
   // warmed: drive two identical waves and require the growth counter to
   // hold still across the second (DESIGN.md §9 hot-path contract).
-  RuntimeConfig runtime;
-  runtime.aggregation_shards = 2;
-  runtime.max_drain_batch = 8;
-  runtime.start_paused = true;
-  ConcurrentFleetServer host(runtime);
+  // A single-lane host runs the same plan->fold path, inline on the
+  // planner.
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeConfig runtime;
+    runtime.aggregation_shards = shards;
+    runtime.max_drain_batch = 8;
+    runtime.start_paused = true;
+    ConcurrentFleetServer host(runtime);
 
-  auto model_a = nn::zoo::mlp(8, 4, 3);
-  model_a->init(1);
-  auto model_b = nn::zoo::mlp(8, 4, 3);
-  model_b->init(2);
-  const auto id_a =
-      host.register_model(*model_a, pretrained_iprof(), server_config());
-  const auto id_b =
-      host.register_model(*model_b, pretrained_iprof(), server_config());
+    auto model_a = nn::zoo::mlp(8, 4, 3);
+    model_a->init(1);
+    auto model_b = nn::zoo::mlp(8, 4, 3);
+    model_b->init(2);
+    const auto id_a =
+        host.register_model(*model_a, pretrained_iprof(), server_config());
+    const auto id_b =
+        host.register_model(*model_b, pretrained_iprof(), server_config());
 
-  const auto wave = [&] {
-    for (std::size_t i = 0; i < 24; ++i) {
-      GradientJob job_a = varied_job(*model_a, id_a, 0, i);
-      ASSERT_TRUE(host.try_submit(job_a).accepted);
-      GradientJob job_b = varied_job(*model_b, id_b, 0, i);
-      ASSERT_TRUE(host.try_submit(job_b).accepted);
-    }
-    host.resume();
-    host.drain();
-    host.pause();
-  };
+    const auto wave = [&] {
+      for (std::size_t i = 0; i < 24; ++i) {
+        GradientJob job_a = varied_job(*model_a, id_a, 0, i);
+        ASSERT_TRUE(host.try_submit(job_a).accepted);
+        GradientJob job_b = varied_job(*model_b, id_b, 0, i);
+        ASSERT_TRUE(host.try_submit(job_b).accepted);
+      }
+      host.resume();
+      host.drain();
+      host.pause();
+    };
 
-  wave();
-  const std::size_t after_warmup = host.host_stats().fold_buffer_growths;
-  wave();
-  EXPECT_EQ(host.host_stats().fold_buffer_growths, after_warmup)
-      << "the aggregation hot path allocated during a steady-state wave";
-  // The gauges surface through per-session stats too, and the fold
-  // scheduler's occupancy counters moved.
-  EXPECT_EQ(host.stats(id_a).fold_buffer_growths, after_warmup);
-  EXPECT_GT(host.host_stats().fold_tasks_executed, 0u);
-  EXPECT_GE(host.host_stats().fold_peak_pending, 1u);
-  EXPECT_GE(host.host_stats().queue_max_depth_seen, 8u);
-  host.stop();
+    wave();
+    const std::size_t after_warmup = host.host_stats().fold_buffer_growths;
+    wave();
+    EXPECT_EQ(host.host_stats().fold_buffer_growths, after_warmup)
+        << "the aggregation hot path allocated during a steady-state wave";
+    // The gauges surface through per-session stats too, and the fold
+    // scheduler's occupancy counters moved.
+    EXPECT_EQ(host.stats(id_a).fold_buffer_growths, after_warmup);
+    EXPECT_GT(host.host_stats().fold_tasks_executed, 0u);
+    EXPECT_GE(host.host_stats().fold_peak_pending, 1u);
+    EXPECT_GE(host.host_stats().queue_max_depth_seen, 8u);
+    host.stop();
+  }
 }
 
 /// Mixed-workload fleet fixture: six CNN workers over one host, the first

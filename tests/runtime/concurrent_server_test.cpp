@@ -186,10 +186,11 @@ TEST(ConcurrentServerTest, StalenessStaysExactUnderBatchedShardedDrains) {
 }
 
 TEST(ConcurrentServerTest, ShardedBatchedFoldMatchesSequentialBitwise) {
-  // The same staged backlog through (a) the PR-2 sequential fold and
-  // (b) the sharded fold with batched drains must yield bit-identical
-  // parameters: weights are computed centrally and every parameter index
-  // sees the same operation sequence.
+  // The same staged backlog through (a) core::FleetServer, whose
+  // handle_gradient is the sequential AsyncAggregator::submit fold, and
+  // (b) the host's plan->fold path at every shard count and drain batch
+  // must yield bit-identical parameters: weights are computed centrally
+  // and every parameter index sees the same operation sequence.
   auto run = [](const RuntimeConfig& runtime) {
     ServerEnv env(runtime);
     for (std::size_t i = 0; i < 12; ++i) {
@@ -205,11 +206,20 @@ TEST(ConcurrentServerTest, ShardedBatchedFoldMatchesSequentialBitwise) {
     return std::vector<float>(view.begin(), view.end());
   };
 
-  RuntimeConfig sequential;
-  sequential.start_paused = true;
-  const auto reference = run(sequential);
+  ServerEnv env;  // an idle host: its model and jobs seed the reference
+  env.server->stop();
+  core::ServerConfig config;
+  config.learning_rate = 0.1f;
+  core::FleetServer sequential(*env.model, pretrained_iprof(), config);
+  for (std::size_t i = 0; i < 12; ++i) {
+    const GradientJob job = env.varied_job(0, i);
+    sequential.handle_gradient(0, job.gradient, job.label_dist,
+                               job.mini_batch);
+  }
+  const auto view = env.model->parameters_view();
+  const std::vector<float> reference(view.begin(), view.end());
 
-  for (const std::size_t shards : {2u, 4u}) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const std::size_t batch : {1u, 3u, 0u}) {
       RuntimeConfig runtime;
       runtime.start_paused = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -66,12 +67,29 @@ std::vector<float> sequential_fold(const UpdateSet& set, std::size_t k,
   return params;
 }
 
-FoldContext context_of(learning::AsyncAggregator& agg,
-                       std::vector<float>& params) {
+/// A FoldContext together with the span partition it references — the
+/// scheduler folds one task per span, as ModelSession caches it. Built in
+/// place and never copied, so `ctx.spans` cannot dangle.
+struct OwnedContext {
+  OwnedContext(learning::AsyncAggregator& agg, std::vector<float>& params,
+               std::size_t shards)
+      : spans(ShardedAggregator::partition(params.size(), shards)) {
+    ctx.aggregator = &agg;
+    ctx.parameters = std::span<float>(params);
+    ctx.spans = spans;
+  }
+  OwnedContext(const OwnedContext&) = delete;
+  OwnedContext& operator=(const OwnedContext&) = delete;
+
+  std::vector<FoldSpan> spans;
   FoldContext ctx;
-  ctx.aggregator = &agg;
-  ctx.parameters = std::span<float>(params);
-  return ctx;
+};
+
+/// The context for `params` split as the pool splits arenas.
+OwnedContext context_of(learning::AsyncAggregator& agg,
+                        std::vector<float>& params,
+                        const ShardedAggregator& pool) {
+  return OwnedContext(agg, params, pool.shard_count());
 }
 
 /// Planned + sharded fold of the same updates, split into batches of
@@ -82,7 +100,8 @@ std::vector<float> sharded_fold(const UpdateSet& set, std::size_t k,
   learning::AsyncAggregator agg(kParams, kClasses, agg_config(k));
   std::vector<float> params(kParams, 0.25f);
   ShardedAggregator sharded(shards);
-  const FoldContext ctx = context_of(agg, params);
+  const OwnedContext owned = context_of(agg, params, sharded);
+  const FoldContext& ctx = owned.ctx;
   std::vector<FoldOp> plan;
   std::size_t in_batch = 0;
   for (const auto& update : set.updates) {
@@ -116,7 +135,7 @@ TEST(ShardedAggregatorTest, RejectsBadConstructionAndMismatchedContext) {
   std::vector<float> wrong(kParams - 1, 0.0f);
   ShardedAggregator sharded(2);
   std::vector<FoldOp> plan(1);
-  EXPECT_THROW(sharded.execute(context_of(agg, wrong), plan),
+  EXPECT_THROW(sharded.execute(context_of(agg, wrong, sharded).ctx, plan),
                std::invalid_argument);
 }
 
@@ -168,8 +187,10 @@ TEST(ShardedAggregatorTest, OnePoolServesManyContexts) {
   }
 
   ShardedAggregator pool(3);
-  const FoldContext ctx_a = context_of(agg_a, params_a);
-  const FoldContext ctx_b = context_of(agg_b, params_b);
+  const OwnedContext owned_a = context_of(agg_a, params_a, pool);
+  const OwnedContext owned_b = context_of(agg_b, params_b, pool);
+  const FoldContext& ctx_a = owned_a.ctx;
+  const FoldContext& ctx_b = owned_b.ctx;
   std::size_t b_cursor = 0;
   // Plan and execute one B gradient on the shared pool (K = 1: every
   // submission flushes).
@@ -275,7 +296,10 @@ TEST(ShardedAggregatorTest, SubmitValidatesContextAndLatch) {
 
   // A cached partition that does not tile the arena is refused: short
   // coverage, an interior gap (right edges fine), and an overlap.
-  FoldContext bad = context_of(agg, params);
+  const OwnedContext good = context_of(agg, params, pool);
+  FoldContext bad = good.ctx;
+  bad.spans = {};  // spans are required: an empty partition folds nothing
+  EXPECT_THROW(pool.submit(bad, plan, latch), std::invalid_argument);
   const std::vector<FoldSpan> short_spans = {FoldSpan{0, kParams - 1}};
   bad.spans = short_spans;
   EXPECT_THROW(pool.submit(bad, plan, latch), std::invalid_argument);
@@ -290,7 +314,7 @@ TEST(ShardedAggregatorTest, SubmitValidatesContextAndLatch) {
   EXPECT_TRUE(latch.done());
 
   // An empty plan never arms the latch.
-  pool.submit(context_of(agg, params), {}, latch);
+  pool.submit(good.ctx, {}, latch);
   EXPECT_TRUE(latch.done());
   pool.wait(latch);  // trivially returns
 }
@@ -321,6 +345,10 @@ TEST(ShardedAggregatorTest, ConcurrentCrossContextSubmissionsStayBitwise) {
     params.emplace_back(kParams, 0.25f);
   }
   ShardedAggregator pool(3);
+  std::deque<OwnedContext> contexts;
+  for (std::size_t c = 0; c < kContexts; ++c) {
+    contexts.emplace_back(*aggs[c], params[c], pool.shard_count());
+  }
   std::vector<std::vector<FoldOp>> plans(kContexts);
   std::vector<FoldLatch> latches(kContexts);
   for (std::size_t round = 0; round < kRounds; ++round) {
@@ -340,7 +368,7 @@ TEST(ShardedAggregatorTest, ConcurrentCrossContextSubmissionsStayBitwise) {
       }
     }
     for (std::size_t c = 0; c < kContexts; ++c) {
-      pool.submit(context_of(*aggs[c], params[c]), plans[c], latches[c]);
+      pool.submit(contexts[c].ctx, plans[c], latches[c]);
     }
     for (std::size_t c = 0; c < kContexts; ++c) pool.wait(latches[c]);
   }
@@ -356,17 +384,17 @@ TEST(ShardedAggregatorTest, ConcurrentCrossContextSubmissionsStayBitwise) {
 }
 
 TEST(ShardedAggregatorTest, CachedSpanPartitionFoldsIdentically) {
-  // A context carrying its cached partition folds exactly like one whose
-  // partition the scheduler derives per submission.
+  // The pool folds whatever tiling the context carries, one task per
+  // span: a partition finer than the pool's lane count (5 spans on 3
+  // lanes) folds exactly like the sequential fold.
   const UpdateSet set = make_updates(24, 7);
-  const auto reference = sharded_fold(set, /*k=*/3, /*shards=*/3, /*batch=*/4);
+  const auto reference = sequential_fold(set, /*k=*/3);
 
   learning::AsyncAggregator agg(kParams, kClasses, agg_config(3));
   std::vector<float> params(kParams, 0.25f);
-  const auto spans = ShardedAggregator::partition(kParams, 3);
   ShardedAggregator pool(3);
-  FoldContext ctx = context_of(agg, params);
-  ctx.spans = spans;
+  const OwnedContext owned(agg, params, /*shards=*/5);
+  const FoldContext& ctx = owned.ctx;
   std::vector<FoldOp> plan;
   std::size_t in_batch = 0;
   for (const auto& update : set.updates) {
@@ -398,7 +426,8 @@ TEST(ShardedAggregatorTest, PinnedWorkersFoldIdentically) {
   learning::AsyncAggregator agg(kParams, kClasses, agg_config(2));
   std::vector<float> params(kParams, 0.25f);
   ShardedAggregator pool(4, /*worker_cpus=*/{0, 1, 2});
-  const FoldContext ctx = context_of(agg, params);
+  const OwnedContext owned = context_of(agg, params, pool);
+  const FoldContext& ctx = owned.ctx;
   std::vector<FoldOp> plan;
   for (const auto& update : set.updates) {
     const auto planned = agg.plan_submit(update);

@@ -1,8 +1,9 @@
 // Determinism matrix over the concurrent serving runtime: the final model
 // of a ParallelFleet drive must be bitwise identical across every
 // {worker threads} x {aggregation shards} x {drain batch} configuration,
-// and match the sequential AsyncAggregator fold (the default runtime's
-// per-job submit() path) bit for bit. Weights are computed centrally at
+// and match the default runtime's single-lane fold (one shard, unbatched)
+// bit for bit. ConcurrentServerTest pins that fold against the sequential
+// core::FleetServer. Weights are computed centrally at
 // processing time and every parameter index sees the same operation
 // sequence, so neither the shard fan-out nor the batch cadence may change
 // a single ULP.
@@ -103,7 +104,7 @@ std::uint64_t run_cell(std::size_t n_threads, std::size_t shards,
 /// --- Multi-tenant concurrent-fold matrix (DESIGN.md §9) ---------------
 /// {threads} x {shards} x {batches} x {tenants}: every session hosted
 /// among others, folded concurrently on the shared scheduler, must end
-/// bitwise identical to its solo sequential-fold run. Sessions are cheap
+/// bitwise identical to its solo single-lane run. Sessions are cheap
 /// MLPs fed staged-value jobs from live producer threads (each session
 /// owned by exactly one thread — per-session admission order is program
 /// order, which is all the determinism argument needs).
@@ -133,7 +134,7 @@ core::ServerConfig tenant_server_config() {
 
 constexpr std::size_t kTenantJobs = 24;
 
-/// Solo sequential reference for tenant `m`: shards = 1, unbatched.
+/// Solo reference for tenant `m`: one session, shards = 1, unbatched.
 std::vector<float> tenant_solo_reference(std::size_t m) {
   auto model = nn::zoo::mlp(8, 4, 3);
   model->init(50 + m);
@@ -241,7 +242,7 @@ TEST(DeterminismMatrixTest, TenantMatrixInvariantAcrossPlannersAndAdaptive) {
   // The §13 axes: sessions shard across planner threads by id, each
   // planner drains its own queue group under its own (possibly moving)
   // batch limit — and every tenant must still end bitwise identical to
-  // its solo single-planner sequential run. Tickets are host-global and
+  // its solo single-planner run. Tickets are host-global and
   // each group's drain is an exact admission-order prefix, so neither the
   // planner count nor the adaptive schedule may move a ULP.
   constexpr std::size_t kTenants = 4;
@@ -340,7 +341,7 @@ TEST(DeterminismMatrixTest, KernelBackendAxisIsBitwiseStablePerBackend) {
 TEST(DeterminismMatrixTest, TelemetryOnOffIsBitwiseIdentical) {
   // The telemetry axis (DESIGN.md §11): tracing reads clocks and writes
   // rings, but no scheduling or learning decision ever consults it, so
-  // turning it on cannot move a single ULP — across the sequential path,
+  // turning it on cannot move a single ULP — across the single-lane fold,
   // the sharded fold and batched drains alike.
   const std::tuple<std::size_t, std::size_t, std::size_t> cells[] = {
       {1, 1, 0}, {2, 2, 8}, {4, 4, 32}};
@@ -354,8 +355,8 @@ TEST(DeterminismMatrixTest, TelemetryOnOffIsBitwiseIdentical) {
 }
 
 TEST(DeterminismMatrixTest, FinalModelInvariantAcrossThreadsShardsBatches) {
-  // Baseline: one driver thread, the sequential AsyncAggregator fold
-  // (shards = 1), unbatched drains — the PR-2 reference path.
+  // Baseline: one driver thread, the single-lane fold (shards = 1),
+  // unbatched drains.
   const std::uint64_t baseline = run_cell(1, 1, 0);
 
   std::map<std::string, std::uint64_t> mismatches;
@@ -372,7 +373,7 @@ TEST(DeterminismMatrixTest, FinalModelInvariantAcrossThreadsShardsBatches) {
     }
   }
   EXPECT_TRUE(mismatches.empty()) << [&] {
-    std::string report = "cells diverging from the sequential baseline:";
+    std::string report = "cells diverging from the single-lane baseline:";
     for (const auto& [cell, hash] : mismatches) {
       report += "\n  " + cell + " -> " + std::to_string(hash);
     }
