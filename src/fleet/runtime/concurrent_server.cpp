@@ -22,8 +22,7 @@ std::size_t validate_planner_count(std::size_t planners) {
 }  // namespace
 
 ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
-    : trace_capacity_(runtime.trace_capacity),
-      max_drain_batch_(runtime.max_drain_batch),
+    : max_drain_batch_(runtime.max_drain_batch),
       planner_count_(validate_planner_count(runtime.planner_threads)),
       adaptive_(runtime.adaptive_batch),
       policy_(runtime.overload_policy),
@@ -163,8 +162,8 @@ core::ModelId ConcurrentFleetServer::register_model(
   // find the session never sees an empty store. It also caches its fold
   // span partition here, for the host pool's shard count.
   registry_.add(std::make_shared<ModelSession>(
-      id, model, std::move(profiler), config, trace_capacity_,
-      sharded_->shard_count(), telemetry_.get()));
+      id, model, std::move(profiler), config, sharded_->shard_count(),
+      telemetry_.get()));
   return id;
 }
 
@@ -256,12 +255,9 @@ core::GradientReceipt ConcurrentFleetServer::try_submit(GradientJob& job) {
         shed_drops_.fetch_add(1, std::memory_order_relaxed);
         if (telemetry_ != nullptr) {
           shed_ctr_->add(1);
-          telemetry::TraceEvent ev;
-          ev.ts_ns = telemetry_->now_ns();
-          ev.ticket = evicted.ticket;
-          ev.model = evicted.model_id;
-          ev.phase = telemetry::TracePhase::kShedDrop;
-          telemetry_->tracer().emit(ev);
+          telemetry_->instant(telemetry::TracePhase::kShedDrop,
+                              telemetry_->now_ns(), evicted.ticket,
+                              evicted.model_id);
         }
         processed_or_dropped_.fetch_add(1, std::memory_order_acq_rel);
         {
@@ -276,11 +272,8 @@ core::GradientReceipt ConcurrentFleetServer::try_submit(GradientJob& job) {
         shed_drops_.fetch_add(1, std::memory_order_relaxed);
         if (telemetry_ != nullptr) {
           shed_ctr_->add(1);
-          telemetry::TraceEvent ev;
-          ev.ts_ns = telemetry_->now_ns();
-          ev.model = job.model_id;
-          ev.phase = telemetry::TracePhase::kShedDrop;
-          telemetry_->tracer().emit(ev);
+          telemetry_->instant(telemetry::TracePhase::kShedDrop,
+                              telemetry_->now_ns(), 0, job.model_id);
         }
         receipt.accepted = false;
         receipt.shed = true;
@@ -325,12 +318,10 @@ core::GradientReceipt ConcurrentFleetServer::try_submit_wire(
     wire_rejects_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry_ != nullptr) {
       wire_rejects_ctr_->add();
-      telemetry::TraceEvent ev;
-      ev.ts_ns = telemetry_->now_ns();
-      ev.b = static_cast<std::uint64_t>(error);
-      ev.model = scratch.model_id;  // kDefaultModelId unless the header parsed
-      ev.phase = telemetry::TracePhase::kWireReject;
-      telemetry_->tracer().emit(ev);
+      // scratch.model_id is kDefaultModelId unless the header parsed.
+      telemetry_->instant(telemetry::TracePhase::kWireReject,
+                          telemetry_->now_ns(), 0, scratch.model_id,
+                          static_cast<std::uint64_t>(error));
     }
     core::GradientReceipt receipt;
     receipt.accepted = false;
@@ -353,32 +344,6 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
   // Sized lazily to the slot pool; lives outside the loop so a steady-state
   // batch allocates nothing.
   std::vector<std::uint64_t> fold_submit_ns;
-  const auto emit_instant = [&](telemetry::TracePhase phase,
-                                std::uint64_t ticket, core::ModelId model) {
-    telemetry::TraceEvent ev;
-    ev.ts_ns = telemetry_->now_ns();
-    ev.ticket = ticket;
-    ev.model = model;
-    ev.phase = phase;
-    telemetry_->tracer().emit(ev);
-  };
-  // Span of one session's fold, submit -> latch resolution. Called exactly
-  // once per non-empty plan, at the wait that actually resolved it.
-  const auto note_session_fold = [&](std::size_t i) {
-    if (telemetry_ == nullptr) return;
-    SessionSlot& slot = slot_pool[i];
-    if (slot.plan.empty()) return;
-    const std::uint64_t now = telemetry_->now_ns();
-    const std::uint64_t dur = now - fold_submit_ns[i];
-    session_fold_ns_->record(static_cast<double>(dur));
-    telemetry::TraceEvent ev;
-    ev.ts_ns = fold_submit_ns[i];
-    ev.a = dur;
-    ev.b = slot.plan.size();
-    ev.model = slot.session->id();
-    ev.phase = telemetry::TracePhase::kSessionFold;
-    telemetry_->tracer().emit(ev);
-  };
   // Per-batch demultiplexed state: one slot per session that appears in
   // the batch, in first-appearance order, acquired from the persistent
   // slot pool (`used` of `slot_pool_` are live this batch). The session
@@ -481,7 +446,8 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
       if (slot == nullptr) {
         retired_drops_.fetch_add(1, std::memory_order_relaxed);
         if (telemetry_ != nullptr) {
-          emit_instant(telemetry::TracePhase::kDrop, job.ticket, job.model_id);
+          telemetry_->instant(telemetry::TracePhase::kDrop,
+                              telemetry_->now_ns(), job.ticket, job.model_id);
         }
         continue;
       }
@@ -500,7 +466,8 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
         fold_buffer_growths_.fetch_add(1, std::memory_order_relaxed);
       }
       if (telemetry_ != nullptr && folded) {
-        emit_instant(telemetry::TracePhase::kFold, job.ticket, job.model_id);
+        telemetry_->instant(telemetry::TracePhase::kFold,
+                            telemetry_->now_ns(), job.ticket, job.model_id);
       }
     }
     if (telemetry_ != nullptr && fold_submit_ns.size() < slot_pool.size()) {
@@ -516,17 +483,23 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
     // waiter executes queued tasks — any session's, any planner's — while
     // it waits).
     for (std::size_t i = 0; i < used; ++i) {
-      sharded_->wait(slot_pool[i].latch);
-      note_session_fold(i);
+      SessionSlot& slot = slot_pool[i];
+      sharded_->wait(slot.latch);
+      // Span of this session's fold, submit -> the wait that resolved it.
+      if (telemetry_ != nullptr && !slot.plan.empty()) {
+        telemetry_->end_span(telemetry::TracePhase::kSessionFold,
+                             fold_submit_ns[i], slot.session->id(),
+                             slot.plan.size(), session_fold_ns_);
+      }
       // Fold quarantine (DESIGN.md §14): a span task of this session's
       // plan threw — the pool caught it and resolved the latch anyway, so
       // only this session degrades (its arena may hold a partial fold);
       // every other session's batch, and the host, are unharmed.
-      const std::size_t failures = slot_pool[i].latch.take_failures();
+      const std::size_t failures = slot.latch.take_failures();
       if (failures > 0) {
         fold_quarantines_.fetch_add(failures, std::memory_order_relaxed);
         if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(failures);
-        slot_pool[i].session->mark_degraded();
+        slot.session->mark_degraded();
       }
     }
     // One snapshot materialization per dirty session per drain batch,
@@ -540,15 +513,9 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
           telemetry_ != nullptr ? telemetry_->now_ns() : 0;
       const bool published = slot.session->publish_if_dirty();
       if (telemetry_ != nullptr && published) {
-        const std::uint64_t now = telemetry_->now_ns();
-        publish_ns_->record(static_cast<double>(now - p0));
-        telemetry::TraceEvent ev;
-        ev.ts_ns = p0;
-        ev.a = now - p0;
-        ev.b = slot.session->version();
-        ev.model = slot.session->id();
-        ev.phase = telemetry::TracePhase::kPublish;
-        telemetry_->tracer().emit(ev);
+        telemetry_->end_span(telemetry::TracePhase::kPublish, p0,
+                             slot.session->id(), slot.session->version(),
+                             publish_ns_);
       }
       slot.session.reset();
       slot.plan.clear();  // keeps capacity for the next batch
@@ -556,13 +523,8 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
     used = 0;
     batch.clear();
     if (telemetry_ != nullptr) {
-      const std::uint64_t now = telemetry_->now_ns();
-      telemetry::TraceEvent ev;
-      ev.ts_ns = batch_t0;
-      ev.a = now - batch_t0;
-      ev.b = taken;
-      ev.phase = telemetry::TracePhase::kDrainBatch;
-      telemetry_->tracer().emit(ev);
+      telemetry_->end_span(telemetry::TracePhase::kDrainBatch, batch_t0,
+                           core::kDefaultModelId, taken);
     }
     processed_or_dropped_.fetch_add(taken, std::memory_order_acq_rel);
     // Liveness tick last: a batch only counts once fully processed, so a
@@ -683,28 +645,17 @@ HealthSnapshot ConcurrentFleetServer::health() const {
 }
 
 RuntimeStats ConcurrentFleetServer::stats(core::ModelId id) const {
-  RuntimeStats snapshot = require(id)->stats();
-  const RuntimeStats host = host_stats();
-  snapshot.backpressure_rejects = host.backpressure_rejects;
-  snapshot.retired_drops = host.retired_drops;
-  snapshot.wire_rejects = host.wire_rejects;
-  snapshot.queue_depth = host.queue_depth;
-  snapshot.queue_max_depth_seen = host.queue_max_depth_seen;
-  snapshot.queue_shard_depths = host.queue_shard_depths;
-  snapshot.fold_tasks_executed = host.fold_tasks_executed;
-  snapshot.fold_peak_pending = host.fold_peak_pending;
-  snapshot.fold_buffer_growths = host.fold_buffer_growths;
-  snapshot.scratch_bytes_peak = host.scratch_bytes_peak;
-  snapshot.queue_wait = host.queue_wait;
-  snapshot.planner_threads = host.planner_threads;
-  snapshot.pinning_applied = host.pinning_applied;
-  snapshot.planner_batch_limits = host.planner_batch_limits;
-  snapshot.adaptive_widenings = host.adaptive_widenings;
-  snapshot.adaptive_narrowings = host.adaptive_narrowings;
-  snapshot.shed_drops = host.shed_drops;
-  snapshot.fold_quarantines = host.fold_quarantines;
-  snapshot.degraded_sessions = host.degraded_sessions;
-  snapshot.planner_progress = host.planner_progress;
+  // Host-wide fields as host_stats() reports them, overlaid with the
+  // session-owned ones — a new host field needs no change here.
+  const RuntimeStats session = require(id)->stats();
+  RuntimeStats snapshot = host_stats();
+  snapshot.submitted = session.submitted;
+  snapshot.processed = session.processed;
+  snapshot.model_updates = session.model_updates;
+  snapshot.invalid_jobs = session.invalid_jobs;
+  snapshot.staleness_hist = session.staleness_hist;
+  snapshot.weight_hist = session.weight_hist;
+  snapshot.degraded = session.degraded;
   return snapshot;
 }
 

@@ -54,11 +54,6 @@ struct RuntimeConfig {
   /// entry) leaves that thread unpinned. For tests (deterministic
   /// unsupported-CPU fallback) and operators that know better than sysfs.
   std::vector<int> placement_override;
-  /// Cap on the per-gradient trace vectors in each session's RuntimeStats
-  /// (staleness, weights) — a long-lived server must not grow memory per
-  /// gradient forever. Counters keep counting past the cap;
-  /// RuntimeStats::traces_truncated records that the traces stopped.
-  std::size_t trace_capacity = 1u << 16;
   /// Start with the planner threads parked (resume() arms them). Lets
   /// tests and benches stage a backlog deterministically.
   bool start_paused = false;
@@ -102,7 +97,8 @@ struct RuntimeConfig {
   /// rejects, never allocations.
   net::WireLimits wire_limits;
   /// Observability (DESIGN.md §11). Off by default: the host then runs
-  /// with no clock reads, no trace rings and no histogram updates — only
+  /// with no clock reads, no trace rings and no histogram updates beyond
+  /// each session's own staleness/weight histograms (RuntimeStats) — only
   /// the pre-existing relaxed counters. When enabled, the host owns one
   /// telemetry::Telemetry (metrics registry + trace collector), every
   /// layer records into it, and stats()/the exporters surface it. Timing
@@ -316,18 +312,17 @@ class ConcurrentFleetServer {
   /// False once stop() closed the ingest queue (submits can only fail).
   bool accepting() const { return !queue_.closed(); }
 
-  /// One task's stats, with the host-wide fields (backpressure rejects,
-  /// retired drops, queue occupancy gauges, queue-wait histogram) filled
-  /// in. The session's processing counters, histograms and traces are one
-  /// consistent cut under a short trace mutex (see RuntimeStats), so a
-  /// monitoring poll can never stall the fold for more than one
-  /// bookkeeping block (DESIGN.md §7, §11). Throws std::out_of_range for
-  /// unknown ids.
+  /// One task's stats: host_stats() overlaid with the session-owned
+  /// fields. The session's processing counters and per-gradient
+  /// histograms are one consistent cut under its short stats mutex (see
+  /// RuntimeStats), so a monitoring poll can never stall the fold for more
+  /// than one bookkeeping block (DESIGN.md §7, §11). Throws
+  /// std::out_of_range for unknown ids.
   RuntimeStats stats(core::ModelId id) const;
   RuntimeStats stats() const { return stats(core::kDefaultModelId); }
 
   /// The host-wide fields alone (backpressure rejects, retired drops,
-  /// queue occupancy gauges), session counters and traces zero. Always
+  /// queue occupancy gauges), session counters and histograms zero. Always
   /// available — the view to fall back on when no session id resolves
   /// (e.g. everything driven has been retired).
   RuntimeStats host_stats() const;
@@ -381,7 +376,6 @@ class ConcurrentFleetServer {
     return require(core::kDefaultModelId);
   }
 
-  std::size_t trace_capacity_;
   std::size_t max_drain_batch_;
   /// Validated planner count (>= 1); also the queue's group count.
   std::size_t planner_count_;

@@ -119,11 +119,7 @@ GradientQueue::PushOutcome GradientQueue::push_to_shard(
     rejected_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry_ != nullptr) {
       rejected_ctr_->add(1);
-      telemetry::TraceEvent ev;
-      ev.ts_ns = t0;
-      ev.model = model;
-      ev.phase = telemetry::TracePhase::kReject;
-      telemetry_->tracer().emit(ev);
+      telemetry_->instant(telemetry::TracePhase::kReject, t0, 0, model);
     }
     return PushOutcome::kRejectedFull;
   }
@@ -215,12 +211,7 @@ GradientQueue::PushOutcome GradientQueue::push_to_shard(
   if (telemetry_ != nullptr) {
     admitted_ctr_->add(1);
     admit_ns_->record(static_cast<double>(telemetry_->now_ns() - t0));
-    telemetry::TraceEvent ev;
-    ev.ts_ns = t0;
-    ev.ticket = ticket;
-    ev.model = model;
-    ev.phase = telemetry::TracePhase::kSubmit;
-    telemetry_->tracer().emit(ev);
+    telemetry_->instant(telemetry::TracePhase::kSubmit, t0, ticket, model);
   }
   // Tap the wake mutex so a consumer that just evaluated "empty" and is
   // about to sleep observes either the new group size or the notification.
@@ -241,13 +232,8 @@ void GradientQueue::note_drained(const std::vector<GradientJob>& out,
     const std::uint64_t wait =
         now > job.enqueue_ns ? now - job.enqueue_ns : 0;
     wait_ns_->record(static_cast<double>(wait));
-    telemetry::TraceEvent ev;
-    ev.ts_ns = now;
-    ev.ticket = job.ticket;
-    ev.model = job.model_id;
-    ev.b = wait;
-    ev.phase = telemetry::TracePhase::kDequeue;
-    telemetry_->tracer().emit(ev);
+    telemetry_->instant(telemetry::TracePhase::kDequeue, now, job.ticket,
+                        job.model_id, wait);
   }
 }
 

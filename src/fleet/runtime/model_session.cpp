@@ -10,32 +10,35 @@ namespace fleet::runtime {
 ModelSession::ModelSession(core::ModelId id, nn::TrainableModel& model,
                            std::unique_ptr<profiler::Profiler> profiler,
                            const core::ServerConfig& config,
-                           std::size_t trace_capacity,
                            std::size_t fold_shards,
                            telemetry::Telemetry* telemetry)
     : id_(id),
       model_(model),
       profiler_(std::move(profiler)),
       config_(config),
-      trace_capacity_(trace_capacity),
       fold_spans_(ShardedAggregator::partition(model.parameter_count(),
                                                std::max<std::size_t>(
                                                    fold_shards, 1))),
       controller_(config.controller),
       aggregator_(model.parameter_count(), model.n_classes(),
                   config.aggregator),
-      store_(config.snapshot_window),
-      staleness_hist_(telemetry::staleness_bounds()),
-      weight_hist_(telemetry::weight_bounds()) {
+      store_(config.snapshot_window) {
   if (profiler_ == nullptr) {
     throw std::invalid_argument("ModelSession: null profiler");
   }
   if (telemetry != nullptr) {
     const std::string base = "session." + std::to_string(id_);
-    staleness_metric_ = telemetry->metrics().histogram(
+    staleness_hist_ = telemetry->metrics().histogram(
         base + ".staleness", telemetry::staleness_bounds());
-    weight_metric_ = telemetry->metrics().histogram(
+    weight_hist_ = telemetry->metrics().histogram(
         base + ".weight", telemetry::weight_bounds());
+  } else {
+    owned_staleness_ =
+        std::make_unique<telemetry::Histogram>(telemetry::staleness_bounds());
+    owned_weight_ =
+        std::make_unique<telemetry::Histogram>(telemetry::weight_bounds());
+    staleness_hist_ = owned_staleness_.get();
+    weight_hist_ = owned_weight_.get();
   }
   // Materialize and publish version 0 before any thread can observe the
   // session, so handle_request never sees an empty store.
@@ -139,7 +142,7 @@ bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
     // A job can only legitimately carry a version it observed from
     // current(), so a future version is a producer bug; drop it rather
     // than poisoning the logical clock. Dropped jobs never enter the plan.
-    std::lock_guard<std::mutex> lock(trace_mu_);
+    std::lock_guard<std::mutex> lock(stats_mu_);
     ++invalid_jobs_;
     return false;
   }
@@ -182,27 +185,14 @@ bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
     std::lock_guard<std::mutex> lock(profiler_mu_);
     profiler_->observe(*job.feedback);
   }
-  // Registry mirrors are lock-free striped cells — record them outside
-  // trace_mu_ so the exporter-facing path adds nothing to the lock hold.
-  if (staleness_metric_ != nullptr) {
-    staleness_metric_->record(staleness);
-    weight_metric_->record(planned.weight);
-  }
-  // One consistent cut: counters, histograms and traces move together
-  // under trace_mu_, so stats() can never observe a counter ahead of its
-  // histogram or trace.
-  std::lock_guard<std::mutex> lock(trace_mu_);
+  // One consistent cut: counters and histograms move together under
+  // stats_mu_, so stats() can never observe a counter ahead of its
+  // histogram.
+  std::lock_guard<std::mutex> lock(stats_mu_);
   ++processed_;
   if (planned.flush) ++model_updates_;
-  staleness_hist_.record(staleness);
-  weight_hist_.record(planned.weight);
-  if (staleness_trace_.size() < trace_capacity_) {
-    staleness_trace_.push_back(staleness);
-    weight_trace_.push_back(planned.weight);
-  } else {
-    // Counters and histograms stay exact past the cap.
-    traces_truncated_ = true;
-  }
+  staleness_hist_->record(staleness);
+  weight_hist_->record(planned.weight);
   return true;
 }
 
@@ -218,19 +208,16 @@ FoldContext ModelSession::fold_context() {
 RuntimeStats ModelSession::stats() const {
   RuntimeStats snapshot;
   // Producer-side counter first (lock-free by design; may run ahead while
-  // jobs queue), then everything aggregation-side under trace_mu_ as one
-  // consistent cut: processed always matches the histograms and traces.
+  // jobs queue), then everything planner-side under stats_mu_ as one
+  // consistent cut: processed always matches the histograms.
   snapshot.submitted = submitted_.load(std::memory_order_acquire);
   snapshot.degraded = degraded_.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(trace_mu_);
+  std::lock_guard<std::mutex> lock(stats_mu_);
   snapshot.processed = processed_;
   snapshot.model_updates = model_updates_;
   snapshot.invalid_jobs = invalid_jobs_;
-  snapshot.traces_truncated = traces_truncated_;
-  snapshot.staleness_hist = staleness_hist_.snapshot();
-  snapshot.weight_hist = weight_hist_.snapshot();
-  snapshot.staleness_values = staleness_trace_;
-  snapshot.weights = weight_trace_;
+  snapshot.staleness_hist = staleness_hist_->snapshot();
+  snapshot.weight_hist = weight_hist_->snapshot();
   return snapshot;
 }
 

@@ -12,19 +12,16 @@
 
 namespace fleet::runtime {
 
-/// Counters, histograms and traces for one learning task. The aggregation
-/// side updates the processing counters, the per-gradient histograms and
-/// the raw traces under one (short) trace mutex, and stats() reads them
-/// under the same mutex — a snapshot is one consistent cut: `processed`
-/// always equals the histograms' counts plus nothing in flight, never one
-/// ahead of its trace. (`submitted` is the exception by design: it is
-/// producer-side and lock-free, so it may legitimately run ahead of
-/// `processed` while jobs sit in the queue.)
-///
-/// Reporting lives in the bounded histograms; the raw staleness/weight
-/// vectors are kept for exact-sequence tests and debugging but stop
-/// recording at the trace capacity (`traces_truncated`) — the histograms
-/// and counters stay exact past the cap.
+/// Counters and per-gradient histograms for one learning task. The
+/// session's planner updates the processing counters and the staleness
+/// and weight histograms under one (short) stats mutex, and stats() reads
+/// them under the same mutex — a snapshot is one consistent cut:
+/// `processed` always equals the histograms' counts, never one ahead.
+/// (`submitted` is the exception by design: it is producer-side and
+/// lock-free, so it may legitimately run ahead of `processed` while jobs
+/// sit in the queue.) The histograms are the only per-gradient history:
+/// bounded, and exact in counts, sum, min and max for every gradient ever
+/// processed.
 struct RuntimeStats {
   std::size_t submitted = 0;    ///< jobs accepted into the queue
   std::size_t processed = 0;    ///< jobs folded into the aggregator
@@ -58,8 +55,7 @@ struct RuntimeStats {
   /// to fold_buffer_growths for "no per-call heap allocation in the
   /// arithmetic hot loops".
   std::size_t scratch_bytes_peak = 0;
-  /// Staleness (tau) per processed gradient, bucketed — exact for every
-  /// gradient ever processed, unlike the capped raw vector below.
+  /// Staleness (tau) per processed gradient, bucketed.
   telemetry::HistogramSnapshot staleness_hist;
   /// Applied dampening weight per processed gradient, bucketed.
   telemetry::HistogramSnapshot weight_hist;
@@ -67,11 +63,6 @@ struct RuntimeStats {
   /// telemetry enabled; empty otherwise. Filled by
   /// ConcurrentFleetServer::stats(), zero-count here.
   telemetry::HistogramSnapshot queue_wait;
-  std::vector<double> staleness_values;  ///< tau per processed gradient
-  std::vector<double> weights;           ///< applied dampening weights
-  /// True once the raw trace vectors above hit the trace capacity and
-  /// stopped recording (counters and histograms are still exact).
-  bool traces_truncated = false;
   /// Host-wide control plane (DESIGN.md §13): how many planner threads
   /// drive this host (sessions shard across them by id).
   std::size_t planner_threads = 1;
@@ -112,12 +103,13 @@ struct RuntimeStats {
 /// Everything one learning task owns on a multi-tenant serving host
 /// (DESIGN.md §7): the model reference, its profiler, controller, AdaSGD
 /// aggregator, snapshot store, the atomically-published (version, snapshot)
-/// record, the per-task logical clock and the per-task stats traces. A
-/// `ConcurrentFleetServer` hosts many sessions behind one ingest queue and
-/// one aggregation thread; each session's learning semantics are exactly a
-/// solo single-model server's, because every order-sensitive mutation is
-/// keyed to this session's own state and its jobs keep their relative
-/// admission order through the shared queue.
+/// record, the per-task logical clock and the per-task stats (counters
+/// plus the staleness/weight histograms). A `ConcurrentFleetServer` hosts
+/// many sessions behind one ingest queue and N planner threads, each
+/// session driven by exactly one of them; each session's learning
+/// semantics are exactly a solo single-model server's, because every
+/// order-sensitive mutation is keyed to this session's own state and its
+/// jobs keep their relative admission order through the shared queue.
 ///
 /// Threading model, mirroring the solo server's split:
 ///  - Request path (any thread): handle_request(), current(), version(),
@@ -139,15 +131,13 @@ class ModelSession {
   /// `fold_shards` is the host's fold-pool shard count: the session caches
   /// its arena's span partition once, here, instead of re-deriving it for
   /// every drain batch (DESIGN.md §9). 1 caches the single full-arena
-  /// span. `telemetry` (optional, caller-owned, outliving the session)
-  /// mirrors the session's staleness/weight histograms into the host
-  /// registry as "session.<id>.staleness" / "session.<id>.weight" so the
-  /// exporters see them; the RuntimeStats histograms are maintained
-  /// either way.
+  /// span. With `telemetry` (optional, caller-owned, outliving the
+  /// session) the staleness/weight histograms live in the host registry
+  /// as "session.<id>.staleness" / "session.<id>.weight", so the exporters
+  /// and stats() read the same cells; without it the session owns them.
   ModelSession(core::ModelId id, nn::TrainableModel& model,
                std::unique_ptr<profiler::Profiler> profiler,
-               const core::ServerConfig& config, std::size_t trace_capacity,
-               std::size_t fold_shards = 1,
+               const core::ServerConfig& config, std::size_t fold_shards = 1,
                telemetry::Telemetry* telemetry = nullptr);
 
   ModelSession(const ModelSession&) = delete;
@@ -208,7 +198,7 @@ class ModelSession {
   }
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
-  // --- aggregation-thread side (single caller: the host's loop) ---------
+  // --- planner side (single caller: the session's planner thread) -------
 
   /// Process one job: screen out a future task version, then do the
   /// order-sensitive bookkeeping (staleness against this session's clock,
@@ -243,7 +233,7 @@ class ModelSession {
   const core::ModelStore& store() const { return store_; }
   const learning::AsyncAggregator& aggregator() const { return aggregator_; }
   const core::Controller& controller() const { return controller_; }
-  /// The session's model. Owned by the aggregation thread while the host
+  /// The session's model. Owned by the session's planner while the host
   /// runs — only touch it after drain() with producers quiesced, or after
   /// stop()/retirement.
   nn::TrainableModel& model() { return model_; }
@@ -255,7 +245,6 @@ class ModelSession {
   nn::TrainableModel& model_;
   std::unique_ptr<profiler::Profiler> profiler_;
   core::ServerConfig config_;
-  std::size_t trace_capacity_;
   /// Cached fold-span partition of the model's arena for the host's pool
   /// shard count; referenced by every fold_context() (DESIGN.md §9).
   std::vector<FoldSpan> fold_spans_;
@@ -275,25 +264,23 @@ class ModelSession {
   std::mutex controller_mu_;
 
   // The submit counter is producer-side and lock-free. Everything the
-  // aggregation side reports — processing counters, per-gradient
-  // histograms, raw traces — lives under one short mutex, taken once per
-  // gradient, so a stats() snapshot is a single consistent cut and a
-  // monitoring poll copying long traces stalls the fold path for at most
-  // one bookkeeping block (DESIGN.md §7, §11).
+  // planner side reports — processing counters and the per-gradient
+  // histograms — moves under one short mutex, taken once per gradient, so
+  // a stats() snapshot is a single consistent cut and a monitoring poll
+  // stalls the fold path for at most one bookkeeping block (DESIGN.md §7,
+  // §11).
   std::atomic<std::size_t> submitted_{0};
-  mutable std::mutex trace_mu_;
+  mutable std::mutex stats_mu_;
   std::size_t processed_ = 0;
   std::size_t model_updates_ = 0;
   std::size_t invalid_jobs_ = 0;
-  bool traces_truncated_ = false;
-  telemetry::LocalHistogram staleness_hist_;
-  telemetry::LocalHistogram weight_hist_;
-  std::vector<double> staleness_trace_;
-  std::vector<double> weight_trace_;
-  /// Registry mirrors of the two histograms above (nullptr when the host
-  /// runs without telemetry).
-  telemetry::Histogram* staleness_metric_ = nullptr;
-  telemetry::Histogram* weight_metric_ = nullptr;
+  /// Backing cells for the two histograms when the host runs without
+  /// telemetry (null otherwise: the registry owns them).
+  std::unique_ptr<telemetry::Histogram> owned_staleness_;
+  std::unique_ptr<telemetry::Histogram> owned_weight_;
+  /// The session's one staleness and one weight histogram.
+  telemetry::Histogram* staleness_hist_ = nullptr;
+  telemetry::Histogram* weight_hist_ = nullptr;
 };
 
 }  // namespace fleet::runtime

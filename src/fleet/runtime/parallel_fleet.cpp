@@ -224,17 +224,10 @@ ParallelFleet::Stats ParallelFleet::run() {
     stats.runtime.processed += per.runtime.processed;
     stats.runtime.model_updates += per.runtime.model_updates;
     stats.runtime.invalid_jobs += per.runtime.invalid_jobs;
-    stats.runtime.traces_truncated |= per.runtime.traces_truncated;
     // All sessions share the standard bucket layouts, so the aggregate
     // histogram is an exact merge, not an approximation.
     stats.runtime.staleness_hist.merge(per.runtime.staleness_hist);
     stats.runtime.weight_hist.merge(per.runtime.weight_hist);
-    stats.runtime.staleness_values.insert(stats.runtime.staleness_values.end(),
-                                          per.runtime.staleness_values.begin(),
-                                          per.runtime.staleness_values.end());
-    stats.runtime.weights.insert(stats.runtime.weights.end(),
-                                 per.runtime.weights.begin(),
-                                 per.runtime.weights.end());
     // Host-wide fields are already set from host_stats() above (they are
     // identical in every per-model view).
     stats.per_model.push_back(std::move(per));

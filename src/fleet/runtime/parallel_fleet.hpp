@@ -94,9 +94,9 @@ class ParallelFleet {
     /// breakdown, not extra events).
     std::size_t final_flush_retries = 0;
     std::size_t final_flush_drops = 0;
-    /// Aggregate server-side view after drain: per-model counters summed,
-    /// traces concatenated in ascending model-id order (for a single-model
-    /// drive this is exactly that session's stats).
+    /// Aggregate server-side view after drain: per-model counters summed
+    /// and staleness/weight histograms merged (for a single-model drive
+    /// this is exactly that session's stats).
     RuntimeStats runtime;
     /// The same view per driven model, ascending id.
     std::vector<ModelStats> per_model;

@@ -111,30 +111,18 @@ bool ShardedAggregator::run_one(std::size_t lane) {
   // (FoldLatch::take_failures) and resolve normally; the coordinator
   // quarantines the owning session (DESIGN.md §14).
   bool failed = false;
-  const auto guarded_run = [&] {
-    try {
-      if (fault_ != nullptr && fault_->should_fire(FaultSite::kFoldTask)) {
-        throw FaultInjector::InjectedFault("injected fold-task failure");
-      }
-      run_task(task);
-    } catch (...) {
-      failed = true;
+  const std::uint64_t t0 = telemetry_ != nullptr ? telemetry_->now_ns() : 0;
+  try {
+    if (fault_ != nullptr && fault_->should_fire(FaultSite::kFoldTask)) {
+      throw FaultInjector::InjectedFault("injected fold-task failure");
     }
-  };
+    run_task(task);
+  } catch (...) {
+    failed = true;
+  }
   if (telemetry_ != nullptr) {
-    const std::uint64_t t0 = telemetry_->now_ns();
-    guarded_run();
-    const std::uint64_t dur = telemetry_->now_ns() - t0;
-    task_ns_->record(static_cast<double>(dur));
-    telemetry::TraceEvent ev;
-    ev.ts_ns = t0;
-    ev.a = dur;
-    ev.b = task.span.begin;
-    ev.model = task.ctx.model;
-    ev.phase = telemetry::TracePhase::kFoldTask;
-    telemetry_->tracer().emit(ev);
-  } else {
-    guarded_run();
+    telemetry_->end_span(telemetry::TracePhase::kFoldTask, t0,
+                         task.ctx.model, task.span.begin, task_ns_);
   }
   if (failed) {
     task.latch->failed_.fetch_add(1, std::memory_order_acq_rel);

@@ -189,27 +189,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap;
 }
 
-// ---- LocalHistogram ------------------------------------------------------
-
-LocalHistogram::LocalHistogram(std::vector<double> bounds) {
-  if (!std::is_sorted(bounds.begin(), bounds.end())) {
-    throw std::invalid_argument("LocalHistogram: bounds must be ascending");
-  }
-  snap_.bounds = std::move(bounds);
-  snap_.counts.assign(snap_.bounds.size() + 1, 0);
-}
-
-void LocalHistogram::record(double value) {
-  const std::size_t b = static_cast<std::size_t>(
-      std::lower_bound(snap_.bounds.begin(), snap_.bounds.end(), value) -
-      snap_.bounds.begin());
-  ++snap_.counts[b];
-  ++snap_.count;
-  snap_.sum += value;
-  snap_.min = std::min(snap_.min, value);
-  snap_.max = std::max(snap_.max, value);
-}
-
 // ---- MetricsRegistry -----------------------------------------------------
 
 MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name,

@@ -143,20 +143,6 @@ class Histogram {
   std::deque<Cell> cells_;  // deque: Cell is not movable (atomics)
 };
 
-/// Single-writer histogram for code already serialized behind a lock or a
-/// single-thread invariant (e.g. ModelSession's aggregation-side stats,
-/// appended under trace_mu_): plain fields, zero atomics.
-class LocalHistogram {
- public:
-  explicit LocalHistogram(std::vector<double> bounds);
-
-  void record(double value);
-  HistogramSnapshot snapshot() const { return snap_; }
-
- private:
-  HistogramSnapshot snap_;
-};
-
 // ---- registry ------------------------------------------------------------
 
 /// Named metrics directory. Registration (startup / session-construction

@@ -10,7 +10,8 @@ namespace fleet::telemetry {
 
 /// Runtime knob block (RuntimeConfig::telemetry). Off by default: the
 /// serving hot path then pays only the pre-existing relaxed counter
-/// increments — no clock reads, no ring writes, no histogram updates.
+/// increments and each session's own staleness/weight histograms — no
+/// clock reads, no ring writes, no other histogram updates.
 struct TelemetryConfig {
   bool enabled = false;
   /// Per-thread trace-ring capacity in events (rounded up to a power of
@@ -35,6 +36,34 @@ class Telemetry {
 
   /// steady_clock ns since construction — the shared timestamp base.
   std::uint64_t now_ns() const { return tracer_.now_ns(); }
+
+  /// Emit one instant lifecycle event stamped `ts_ns`.
+  void instant(TracePhase phase, std::uint64_t ts_ns, std::uint64_t ticket,
+               core::ModelId model, std::uint64_t b = 0) {
+    TraceEvent ev;
+    ev.ts_ns = ts_ns;
+    ev.ticket = ticket;
+    ev.b = b;
+    ev.model = model;
+    ev.phase = phase;
+    tracer_.emit(ev);
+  }
+
+  /// Close a span opened at `t0` (a now_ns() reading): one clock read, the
+  /// duration into `duration_ns` when given, and the complete event.
+  void end_span(TracePhase phase, std::uint64_t t0, core::ModelId model,
+                std::uint64_t b, Histogram* duration_ns = nullptr) {
+    TraceEvent ev;
+    ev.ts_ns = t0;
+    ev.a = now_ns() - t0;
+    ev.b = b;
+    ev.model = model;
+    ev.phase = phase;
+    if (duration_ns != nullptr) {
+      duration_ns->record(static_cast<double>(ev.a));
+    }
+    tracer_.emit(ev);
+  }
 
  private:
   MetricsRegistry metrics_;

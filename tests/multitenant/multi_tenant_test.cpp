@@ -123,10 +123,17 @@ TEST(MultiTenantTest, InterleavedSessionsMatchSoloRunsBitwise) {
       const auto stats_b = host.stats(id_b);
       EXPECT_EQ(stats_a.processed, kJobsA);
       EXPECT_EQ(stats_b.processed, kJobsB);
-      ASSERT_EQ(stats_a.staleness_values.size(), kJobsA);
-      for (std::size_t i = 0; i < kJobsA; ++i) {
-        EXPECT_EQ(stats_a.staleness_values[i], static_cast<double>(i));
-      }
+      // All of A's jobs target version 0 and K = 1, so A's taus are
+      // exactly 0..11 however B's jobs interleave: counts[k] holds tau == k
+      // (unit buckets up to 8) and 9..11 land in (8, 12].
+      std::vector<std::uint64_t> expected(stats_a.staleness_hist.counts.size(),
+                                          0);
+      for (std::size_t k = 0; k <= 8; ++k) expected[k] = 1;
+      expected[9] = 3;
+      EXPECT_EQ(stats_a.staleness_hist.counts, expected);
+      EXPECT_EQ(stats_a.staleness_hist.sum, 66.0);
+      EXPECT_EQ(stats_a.staleness_hist.min, 0.0);
+      EXPECT_EQ(stats_a.staleness_hist.max, 11.0);
       host.stop();
 
       EXPECT_TRUE(bitwise_equal(ref_a, params_of(*model_a)))

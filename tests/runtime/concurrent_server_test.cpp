@@ -77,7 +77,11 @@ TEST(ConcurrentServerTest, ProcessesSubmittedGradientsAndAdvancesClock) {
   EXPECT_EQ(stats.model_updates, 3u);
   EXPECT_EQ(stats.backpressure_rejects, 0u);
   // Every drain-separated submission saw the fresh clock: zero staleness.
-  for (double tau : stats.staleness_values) EXPECT_EQ(tau, 0.0);
+  EXPECT_EQ(stats.staleness_hist.count, 3u);
+  EXPECT_EQ(stats.staleness_hist.counts[0], 3u);  // bucket (..0]
+  EXPECT_EQ(stats.staleness_hist.sum, 0.0);
+  EXPECT_EQ(stats.staleness_hist.max, 0.0);
+  EXPECT_EQ(stats.weight_hist.count, 3u);
   env.server->stop();
 }
 
@@ -130,10 +134,14 @@ TEST(ConcurrentServerTest, StalenessIsExactUnderQueueing) {
   env.server->resume();
   env.server->drain();
   const auto stats = env.server->stats();
-  ASSERT_EQ(stats.staleness_values.size(), 3u);
-  EXPECT_EQ(stats.staleness_values[0], 0.0);
-  EXPECT_EQ(stats.staleness_values[1], 1.0);
-  EXPECT_EQ(stats.staleness_values[2], 2.0);
+  // staleness_bounds() has unit buckets up to 8: counts[k] holds tau == k.
+  std::vector<std::uint64_t> expected(stats.staleness_hist.counts.size(), 0);
+  expected[0] = expected[1] = expected[2] = 1;
+  EXPECT_EQ(stats.staleness_hist.counts, expected);
+  EXPECT_EQ(stats.staleness_hist.count, 3u);
+  EXPECT_EQ(stats.staleness_hist.sum, 3.0);
+  EXPECT_EQ(stats.staleness_hist.min, 0.0);
+  EXPECT_EQ(stats.staleness_hist.max, 2.0);
   env.server->stop();
 }
 
@@ -172,15 +180,20 @@ TEST(ConcurrentServerTest, StalenessStaysExactUnderBatchedShardedDrains) {
   env.server->drain();
 
   const auto stats = env.server->stats();
-  ASSERT_EQ(stats.staleness_values.size(), 16u);
-  for (std::size_t i = 0; i < 10; ++i) {
-    // Clock at processing was i; version at request was 0.
-    EXPECT_EQ(stats.staleness_values[i], static_cast<double>(i)) << i;
-  }
-  for (std::size_t i = 0; i < 6; ++i) {
-    // Clock at processing was 10 + i; version at request was 10.
-    EXPECT_EQ(stats.staleness_values[10 + i], static_cast<double>(i)) << i;
-  }
+  // Wave 1 saw tau 0..9 (clock i, request version 0), wave 2 tau 0..5
+  // (clock 10 + i, request version 10). staleness_bounds() has unit
+  // buckets up to 8, so counts[k] holds tau == k and tau 9 lands in
+  // (8, 12]. Order is not visible here; the bitwise comparison against
+  // core::FleetServer below covers it.
+  std::vector<std::uint64_t> expected(stats.staleness_hist.counts.size(), 0);
+  for (std::size_t k = 0; k <= 5; ++k) expected[k] = 2;
+  for (std::size_t k = 6; k <= 8; ++k) expected[k] = 1;
+  expected[9] = 1;
+  EXPECT_EQ(stats.staleness_hist.counts, expected);
+  EXPECT_EQ(stats.staleness_hist.count, 16u);
+  EXPECT_EQ(stats.staleness_hist.sum, 60.0);
+  EXPECT_EQ(stats.staleness_hist.min, 0.0);
+  EXPECT_EQ(stats.staleness_hist.max, 9.0);
   EXPECT_EQ(env.server->version(), 16u);
   env.server->stop();
 }
@@ -341,7 +354,9 @@ TEST(ConcurrentServerTest, ConcurrentRequestersAndSubmittersStayConsistent) {
   EXPECT_EQ(stats.invalid_jobs, 0u);
   // K = 1: every processed gradient advanced the clock.
   EXPECT_EQ(env.server->version(), kThreads * kPerThread);
-  for (double tau : stats.staleness_values) EXPECT_GE(tau, 0.0);
+  EXPECT_EQ(stats.staleness_hist.count, kThreads * kPerThread);
+  EXPECT_EQ(stats.weight_hist.count, kThreads * kPerThread);
+  EXPECT_GE(stats.staleness_hist.min, 0.0);
   env.server->stop();
 }
 

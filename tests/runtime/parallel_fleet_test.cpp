@@ -87,14 +87,14 @@ TEST(ParallelFleetTest, StalenessEmergesFromArrivalDelay) {
   FleetEnv env;
   ParallelFleet::Stats stats;
   env.run_and_hash(base_config(), &stats);
-  ASSERT_FALSE(stats.runtime.staleness_values.empty());
-  double max_tau = 0.0;
-  for (double tau : stats.runtime.staleness_values) {
-    EXPECT_GE(tau, 0.0);
-    max_tau = std::max(max_tau, tau);
-  }
+  const auto& tau = stats.runtime.staleness_hist;
+  ASSERT_GT(tau.count, 0u);
+  EXPECT_EQ(tau.count, stats.runtime.processed);
+  EXPECT_EQ(stats.runtime.weight_hist.count, stats.runtime.processed);
+  EXPECT_GE(tau.min, 0.0);
   // Delayed arrivals land after other workers advanced the clock.
-  EXPECT_GT(max_tau, 0.0);
+  EXPECT_GT(tau.max, 0.0);
+  EXPECT_LT(tau.counts[0], tau.count);  // not every tau is 0
 }
 
 TEST(ParallelFleetTest, SameSeedSameThreadsIsBitwiseReproducible) {

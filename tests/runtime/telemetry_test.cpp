@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -141,6 +142,45 @@ TEST(TraceCollectorTest, CollectorsDoNotAliasThreadCaches) {
   EXPECT_EQ(b.collect().size(), 1u);
 }
 
+TEST(TelemetryTest, InstantAndEndSpanFillEveryEventField) {
+  Telemetry telemetry;
+  Histogram* span_ns =
+      telemetry.metrics().histogram("span", latency_bounds_ns());
+  telemetry.instant(TracePhase::kDequeue, 42, 7, 3, 99);
+  const std::uint64_t t0 = telemetry.now_ns();
+  telemetry.end_span(TracePhase::kPublish, t0, 5, 11, span_ns);
+  telemetry.end_span(TracePhase::kDrainBatch, t0, core::kDefaultModelId, 4);
+  const std::vector<TraceRecord> records = telemetry.tracer().collect();
+  ASSERT_EQ(records.size(), 3u);
+
+  const TraceEvent& instant = records[0].event;
+  EXPECT_EQ(instant.phase, TracePhase::kDequeue);
+  EXPECT_EQ(instant.ts_ns, 42u);
+  EXPECT_EQ(instant.ticket, 7u);
+  EXPECT_EQ(instant.model, 3u);
+  EXPECT_EQ(instant.a, 0u);
+  EXPECT_EQ(instant.b, 99u);
+
+  // A span starts at t0, carries its duration in `a`, never a ticket, and
+  // records that same duration into the histogram it was given.
+  const TraceEvent& publish = records[1].event;
+  EXPECT_EQ(publish.phase, TracePhase::kPublish);
+  EXPECT_EQ(publish.ts_ns, t0);
+  EXPECT_EQ(publish.ticket, 0u);
+  EXPECT_EQ(publish.model, 5u);
+  EXPECT_EQ(publish.b, 11u);
+  const HistogramSnapshot recorded = span_ns->snapshot();
+  ASSERT_EQ(recorded.count, 1u);
+  EXPECT_EQ(recorded.sum, static_cast<double>(publish.a));
+
+  const TraceEvent& drain = records[2].event;
+  EXPECT_EQ(drain.phase, TracePhase::kDrainBatch);
+  EXPECT_EQ(drain.ts_ns, t0);
+  EXPECT_GE(drain.a, publish.a);  // closed later, same start
+  EXPECT_EQ(drain.b, 4u);
+  EXPECT_EQ(span_ns->snapshot().count, 1u);  // no histogram given
+}
+
 }  // namespace
 }  // namespace fleet::telemetry
 
@@ -253,6 +293,20 @@ TEST(RuntimeTelemetryTest, LifecycleEventsCoverEveryProcessedGradient) {
   const auto* staleness = snapshot.histogram("session.0.staleness");
   ASSERT_NE(staleness, nullptr);
   EXPECT_EQ(staleness->count, kJobs);
+  // The registry histograms ARE the session's stats histograms: one
+  // record per gradient, read through two views.
+  const auto* weight = snapshot.histogram("session.0.weight");
+  ASSERT_NE(weight, nullptr);
+  const auto expect_same = [](const telemetry::HistogramSnapshot& exported,
+                              const telemetry::HistogramSnapshot& reported) {
+    EXPECT_EQ(exported.counts, reported.counts);
+    EXPECT_EQ(exported.sum, reported.sum);
+    EXPECT_EQ(exported.min, reported.min);
+    EXPECT_EQ(exported.max, reported.max);
+  };
+  const RuntimeStats stats = env.server->stats();
+  expect_same(*staleness, stats.staleness_hist);
+  expect_same(*weight, stats.weight_hist);
 }
 
 TEST(RuntimeTelemetryTest, ShardedPathEmitsSessionFoldAndPoolTaskSpans) {
@@ -321,35 +375,37 @@ TEST(RuntimeTelemetryTest, RejectsAndQueueWaitSurfaceInStats) {
 }
 
 TEST(RuntimeTelemetryTest, StatsSnapshotIsOneConsistentCut) {
-  // Satellite of the observability PR: stats() must never show a counter
-  // ahead of its histograms/traces. Poll stats() while the aggregation
-  // thread folds a backlog and assert the cut invariants on every poll.
-  RuntimeConfig runtime;
-  runtime.queue_capacity = 512;
-  TelemetryEnv env(runtime);
-  std::atomic<bool> stop{false};
-  std::thread poller([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const RuntimeStats stats = env.server->stats();
-      EXPECT_EQ(stats.staleness_hist.count, stats.processed);
-      EXPECT_EQ(stats.weight_hist.count, stats.processed);
-      EXPECT_EQ(stats.staleness_values.size(), stats.weights.size());
-      if (!stats.traces_truncated) {
-        EXPECT_EQ(stats.staleness_values.size(), stats.processed);
+  // stats() must never show a counter ahead of its histograms. Poll
+  // stats() while the planner folds a backlog and assert the cut
+  // invariants on every poll — with session-owned histograms (telemetry
+  // off) and with registry-owned ones (telemetry on).
+  for (const bool telemetry_on : {false, true}) {
+    RuntimeConfig runtime;
+    runtime.queue_capacity = 512;
+    runtime.telemetry.enabled = telemetry_on;
+    TelemetryEnv env(runtime);
+    std::atomic<bool> stop{false};
+    std::thread poller([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const RuntimeStats stats = env.server->stats();
+        EXPECT_EQ(stats.staleness_hist.count, stats.processed);
+        EXPECT_EQ(stats.weight_hist.count, stats.processed);
       }
+    });
+    constexpr std::size_t kJobs = 300;
+    std::size_t submitted = 0;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      GradientJob job = env.unit_job(env.server->version());
+      if (env.server->try_submit(job).accepted) ++submitted;
     }
-  });
-  constexpr std::size_t kJobs = 300;
-  std::size_t submitted = 0;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    GradientJob job = env.unit_job(env.server->version());
-    if (env.server->try_submit(job).accepted) ++submitted;
+    env.server->drain();
+    stop.store(true, std::memory_order_release);
+    poller.join();
+    const RuntimeStats final_stats = env.server->stats();
+    EXPECT_EQ(final_stats.processed, submitted) << telemetry_on;
+    EXPECT_EQ(final_stats.staleness_hist.count, submitted) << telemetry_on;
+    env.server->stop();
   }
-  env.server->drain();
-  stop.store(true, std::memory_order_release);
-  poller.join();
-  EXPECT_EQ(env.server->stats().processed, submitted);
-  env.server->stop();
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ namespace fleet::telemetry {
 namespace {
 
 TEST(HistogramSnapshotTest, QuantilesInterpolateInsideBuckets) {
-  LocalHistogram hist({10.0, 20.0, 40.0});
+  Histogram hist({10.0, 20.0, 40.0});
   for (int i = 0; i < 10; ++i) hist.record(5.0);    // bucket (..10]
   for (int i = 0; i < 10; ++i) hist.record(15.0);   // bucket (10..20]
   const HistogramSnapshot snap = hist.snapshot();
@@ -34,7 +34,7 @@ TEST(HistogramSnapshotTest, QuantilesInterpolateInsideBuckets) {
 }
 
 TEST(HistogramSnapshotTest, OverflowValuesLandInTheLastBucket) {
-  LocalHistogram hist({1.0, 2.0});
+  Histogram hist({1.0, 2.0});
   hist.record(100.0);
   const HistogramSnapshot snap = hist.snapshot();
   ASSERT_EQ(snap.counts.size(), 3u);  // bounds + overflow
@@ -43,8 +43,8 @@ TEST(HistogramSnapshotTest, OverflowValuesLandInTheLastBucket) {
 }
 
 TEST(HistogramSnapshotTest, MergeRequiresMatchingBoundsAndSumsExactly) {
-  LocalHistogram a({10.0, 20.0});
-  LocalHistogram b({10.0, 20.0});
+  Histogram a({10.0, 20.0});
+  Histogram b({10.0, 20.0});
   a.record(5.0);
   b.record(15.0);
   b.record(25.0);
@@ -64,7 +64,7 @@ TEST(HistogramSnapshotTest, MergeRequiresMatchingBoundsAndSumsExactly) {
   EXPECT_EQ(empty.count, 1u);
   ASSERT_EQ(empty.bounds.size(), 2u);
   // … but non-empty mismatched bounds throw instead of mis-bucketing.
-  LocalHistogram c({1.0});
+  Histogram c({1.0});
   c.record(0.5);
   HistogramSnapshot bad = c.snapshot();
   EXPECT_THROW(bad.merge(a.snapshot()), std::invalid_argument);
